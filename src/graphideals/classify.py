@@ -209,6 +209,35 @@ def recognize_suspensions(graph: WeightedGraph) -> list[SuspensionDecomposition]
     return out
 
 
+def suspension_split(graph: WeightedGraph) -> SuspensionDecomposition | None:
+    """The first split :func:`recognize_suspensions` lists, in linear time.
+
+    A leaf whose neighbor is not a leaf must be a whisker, and every
+    other vertex outside an isolated edge must be a base vertex, so the
+    splits differ only in which end of each isolated edge is the whisker;
+    this one takes the smaller index.  Isolated edges join no base edge,
+    so the weight condition gives every split the same verdict.  Returns
+    None when no split pairs every vertex.
+    """
+    neighbors = [[] for _ in range(graph.vertex_count)]
+    for u, v, _ in graph.edges:
+        neighbors[u].append(v)
+        neighbors[v].append(u)
+    whisker_of = {}
+    for w, around in enumerate(neighbors):
+        if len(around) != 1:
+            continue
+        anchor = around[0]
+        if len(neighbors[anchor]) == 1 and anchor < w:
+            continue
+        if anchor in whisker_of:
+            return None
+        whisker_of[anchor] = w
+    if 2 * len(whisker_of) != graph.vertex_count:
+        return None
+    return SuspensionDecomposition(tuple(whisker_of), tuple(whisker_of.items()))
+
+
 def _edge_weight(graph: WeightedGraph, a: int, b: int) -> int:
     for u, v, w in graph.edges:
         if {u, v} == {a, b}:
@@ -303,8 +332,8 @@ def classify_tree(graph: WeightedGraph) -> Verdict:
 
     Trees with at most two vertices are CM.  A larger tree is CM,
     equivalently unmixed, exactly when it splits as a suspension whose
-    base edges pass the whisker-weight condition; the split is searched
-    exhaustively.
+    base edges pass the whisker-weight condition.  A tree has at most one
+    such split.
     """
     if not _is_tree(graph):
         raise FamilyMismatchError("not a tree")
@@ -316,21 +345,19 @@ def classify_tree(graph: WeightedGraph) -> Verdict:
             {"vertices": graph.vertex_count},
             "trees with at most two vertices are Cohen-Macaulay",
         )
-    decs = recognize_suspensions(graph)
-    for dec in decs:
-        holds, _ = _suspension_condition(graph, dec)
+    dec = suspension_split(graph)
+    if dec is not None:
+        holds, violations = _suspension_condition(graph, dec)
+        cert = _decomposition_certificate(graph, dec)
         if holds:
             return Verdict(
                 "tree",
                 True,
                 CM_YES,
-                _decomposition_certificate(graph, dec),
+                cert,
                 "the tree is a suspension whose base edges all weigh no more"
                 " than their incident whisker edges",
             )
-    if decs:
-        _, violations = _suspension_condition(graph, decs[0])
-        cert = _decomposition_certificate(graph, decs[0])
         cert["violations"] = violations
         return Verdict(
             "tree",
@@ -438,13 +465,9 @@ def classify_auto(graph: WeightedGraph) -> Verdict:
         return classify_path(graph)
     if _is_tree(graph):
         return classify_tree(graph)
-    decs = recognize_suspensions(graph)
-    if decs:
-        for dec in decs:
-            holds, _ = _suspension_condition(graph, dec)
-            if holds:
-                return classify_suspension(graph, dec)
-        return classify_suspension(graph, decs[0])
+    dec = suspension_split(graph)
+    if dec is not None:
+        return classify_suspension(graph, dec)
     result = is_unmixed(graph)
     if result.unmixed:
         certificate = {"minimal_cover_cardinality": result.cardinality}

@@ -33,8 +33,8 @@ from .classify import (
     classify_path,
     classify_suspension,
     classify_tree,
-    recognize_suspensions,
     cycle_weight_sequence,
+    suspension_split,
 )
 from .decompose import DecompositionLimitError, split_decompose
 from .graphs import (
@@ -138,8 +138,9 @@ def _cmd_decompose(graph, options) -> dict:
     method = options.get("method", "covers")
     cap = options.get("max_components")
     split_kw = {} if cap is None else {"max_components": cap}
-    by_covers = cover_decomposition(graph)
-    by_split = None
+    by_covers = by_split = None
+    if method == "covers" or options.get("check"):
+        by_covers = cover_decomposition(graph)
     if method == "split" or options.get("check"):
         by_split = split_decompose(weighted_edge_ideal(graph), **split_kw)
     picked = by_covers if method == "covers" else by_split
@@ -246,17 +247,10 @@ def _cmd_classify(graph, options) -> dict:
         elif family == "tree":
             verdict = classify_tree(graph)
         elif family == "suspension":
-            decs = recognize_suspensions(graph)
-            if not decs:
+            dec = suspension_split(graph)
+            if dec is None:
                 raise FamilyMismatchError("no suspension structure")
-            verdict = None
-            for dec in decs:
-                candidate = classify_suspension(graph, dec)
-                if candidate.unmixed:
-                    verdict = candidate
-                    break
-            if verdict is None:
-                verdict = classify_suspension(graph, decs[0])
+            verdict = classify_suspension(graph, dec)
         else:
             raise CommandError("parse", f"unknown family {family!r}")
     except FamilyMismatchError as exc:

@@ -114,13 +114,25 @@ def _powers_leq(small, big) -> bool:
 
 
 def _prune_powers(items):
-    """Drop every powers tuple whose ideal contains another's; dedupe; sort."""
-    uniq = sorted(set(items))
-    keep = []
-    for a in uniq:
-        if not any(b != a and _powers_leq(b, a) for b in uniq):
-            keep.append(a)
-    return tuple(keep)
+    """Drop every powers tuple whose ideal contains another's; dedupe; sort.
+
+    Encodes each tuple as the vector with M - e at each variable it
+    raises to e and 0 elsewhere, M exceeding every exponent.  Then
+    _powers_leq(b, a) holds exactly when b's vector divides a's, so the
+    minimal components are the kernel's minimal vectors.  The input
+    tuples themselves are returned, which keeps them shared with the
+    callers' lists.
+    """
+    uniq = set(items)
+    dim = 1 + max((i for powers in uniq for i, _ in powers), default=-1)
+    top = 1 + max((e for powers in uniq for _, e in powers), default=0)
+    by_vec = {}
+    for powers in uniq:
+        vec = [0] * dim
+        for i, e in powers:
+            vec[i] = top - e
+        by_vec[tuple(vec)] = powers
+    return tuple(sorted(by_vec[v] for v in kernels.minimalize(list(by_vec))))
 
 
 @dataclass(frozen=True)

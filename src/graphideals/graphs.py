@@ -17,7 +17,12 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Mapping, NamedTuple
 
-from .decompose import Decomposition, IrreducibleComponent
+from .decompose import (
+    Decomposition,
+    IrreducibleComponent,
+    _powers_leq,
+    _prune_powers,
+)
 from .monomials import MonomialIdeal, VariableContext
 
 
@@ -289,12 +294,7 @@ def cover_leq(smaller: WeightedCover, larger: WeightedCover) -> bool:
     (V'', d'') <= (V', d') means V'' is a subset of V' and d'(v) <= d''(v)
     for every v in V''.  Mirrors containment of the associated ideals.
     """
-    lookup = dict(larger.entries)
-    for v, w_small in smaller.entries:
-        w_large = lookup.get(v)
-        if w_large is None or w_large > w_small:
-            return False
-    return True
+    return _powers_leq(smaller.entries, larger.entries)
 
 
 def cover_ideal(cover: WeightedCover, context: VariableContext) -> IrreducibleComponent:
@@ -385,13 +385,8 @@ def enumerate_minimal_covers(graph: WeightedGraph) -> list[WeightedCover]:
                     for v in subset
                 ):
                     continue
-                found.append(WeightedCover(tuple(entries.items())))
-    minimal = [
-        c
-        for c in found
-        if not any(other != c and cover_leq(other, c) for other in found)
-    ]
-    return sorted(minimal, key=lambda c: c.entries)
+                found.append(tuple(entries.items()))
+    return [WeightedCover(entries) for entries in _prune_powers(found)]
 
 
 def cover_decomposition(graph: WeightedGraph) -> Decomposition:

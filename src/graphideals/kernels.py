@@ -1,64 +1,84 @@
-"""Kernel selection: compiled extension when available, pure Python otherwise.
+"""Exponent-vector kernels.
 
-The exponent-vector kernels exist twice with one contract: ``_kernels_py``
-(always importable) and ``_kernels_cy`` (Cython, built by setup.py).  The
-choice happens here at import time and can be forced with the environment
-variable ``GRAPHIDEALS_KERNELS=python|cython`` or switched at runtime with
-:func:`use`.  Callers access the kernels through this module's attributes
-(``kernels.divides(...)``) so a switch takes effect everywhere at once;
-the benchmark relies on that.
+The small componentwise operations that dominate decomposition and
+enumeration time.  Vectors in one call must share a single dimension;
+``minimalize`` rejects mixed dimensions, the pointwise helpers trust
+their callers' context checks.  Callers reach the kernels through this
+module's attributes (``kernels.minimalize(...)``), so the benchmark's
+tracer sees every call.
 """
-
-import os
-
-from . import _kernels_py
-
-try:
-    from . import _kernels_cy
-except ImportError:
-    _kernels_cy = None
-
-_IMPLS = {"python": _kernels_py}
-if _kernels_cy is not None:
-    _IMPLS["cython"] = _kernels_cy
-
-_active = None
-
-divides = None
-lcm = None
-any_divides = None
-minimalize = None
-intersect_rows = None
-grlex_key = None
 
 
 def available():
     """Names of the importable implementations."""
-    return tuple(sorted(_IMPLS))
+    return ("python",)
 
 
 def active():
-    """Name of the implementation currently bound."""
-    return _active
+    """Name of the implementation in use."""
+    return "python"
 
 
 def use(name):
-    """Bind the named implementation; returns the name now active."""
-    global _active, divides, lcm, any_divides, minimalize, intersect_rows, grlex_key
-    try:
-        impl = _IMPLS[name]
-    except KeyError:
+    """Select an implementation by name; only ``"python"`` exists."""
+    if name != "python":
         raise ValueError(
             f"unknown kernel implementation {name!r}; available: {available()}"
-        ) from None
-    divides = impl.divides
-    lcm = impl.lcm
-    any_divides = impl.any_divides
-    minimalize = impl.minimalize
-    intersect_rows = impl.intersect_rows
-    grlex_key = impl.grlex_key
-    _active = name
+        )
     return name
 
 
-use(os.environ.get("GRAPHIDEALS_KERNELS") or ("cython" if _kernels_cy else "python"))
+def grlex_key(vec):
+    # graded lexicographic: total degree first, then the vector itself
+    return (sum(vec), vec)
+
+
+def divides(a, b):
+    """Componentwise a <= b."""
+    for x, y in zip(a, b):
+        if x > y:
+            return False
+    return True
+
+
+def lcm(a, b):
+    """Componentwise maximum."""
+    return tuple(x if x >= y else y for x, y in zip(a, b))
+
+
+def any_divides(gens, m):
+    """True if some vector in gens divides m componentwise."""
+    for g in gens:
+        if divides(g, m):
+            return True
+    return False
+
+
+def minimalize(vecs):
+    """Minimal elements of vecs under divisibility, in graded-lex order.
+
+    Deduplicates, then drops every vector some other vector divides.  A
+    strict divisor has strictly smaller total degree, so one ascending
+    sweep over the graded-lex ordering suffices.
+    """
+    ordered = sorted(set(vecs), key=grlex_key)
+    if ordered:
+        dim = len(ordered[0])
+        for v in ordered:
+            if len(v) != dim:
+                raise ValueError("exponent vectors must share one dimension")
+    kept = []
+    for v in ordered:
+        dominated = False
+        for k in kept:
+            if divides(k, v):
+                dominated = True
+                break
+        if not dominated:
+            kept.append(v)
+    return kept
+
+
+def intersect_rows(gens1, gens2):
+    """Generating rows of the intersection: minimalized pairwise lcms."""
+    return minimalize([lcm(f, g) for f in gens1 for g in gens2])

@@ -6,6 +6,7 @@ values here never rest on the classifier alone.
 """
 
 import itertools
+import random
 
 import pytest
 
@@ -25,8 +26,10 @@ from graphideals.classify import (
     cycle_weight_sequence,
     is_trivially_weighted,
     recognize_suspensions,
+    suspension_split,
 )
 from graphideals.graphs import (
+    Edge,
     WeightedGraph,
     complete_graph,
     cycle_graph,
@@ -34,6 +37,7 @@ from graphideals.graphs import (
     path_graph,
     suspend,
 )
+from graphideals.verify import exhaustive_weighted_graphs, random_weighted_graph
 
 
 def rotations_and_reflections(weights):
@@ -169,6 +173,43 @@ class TestRecognizeSuspensions:
 
     def test_triangle_none(self):
         assert recognize_suspensions(cycle_graph([1, 1, 1])) == []
+
+
+class TestSuspensionSplit:
+    """suspension_split finds recognize_suspensions(g)[0] without search."""
+
+    def assert_first_split(self, g):
+        decs = recognize_suspensions(g)
+        assert suspension_split(g) == (decs[0] if decs else None)
+
+    def test_exhaustive_small_graphs(self):
+        for g in exhaustive_weighted_graphs(4):
+            self.assert_first_split(g)
+
+    def test_random_suspensions(self):
+        rng = random.Random(20261017)
+        for trial in range(200):
+            base = random_weighted_graph(rng, max_vertices=5, edge_probability=0.4)
+            g = suspend(base, [rng.randint(1, 3) for _ in base.vertex_names])
+            order = list(range(g.vertex_count))
+            rng.shuffle(order)
+            edges = [Edge(order[u], order[v], w) for u, v, w in g.edges]
+            g = WeightedGraph(g.vertex_names, tuple(edges))
+            assert suspension_split(g) is not None
+            self.assert_first_split(g)
+            dropped = edges[:]
+            del dropped[rng.randrange(len(dropped))]
+            self.assert_first_split(WeightedGraph(g.vertex_names, tuple(dropped)))
+
+    def test_isolated_edges_take_smaller_whisker(self):
+        g = WeightedGraph(("a", "b", "c", "d"), ((0, 1, 1), (2, 3, 5)))
+        assert suspension_split(g).whisker_of() == {1: 0, 3: 2}
+
+    def test_shared_anchor_none(self):
+        star = WeightedGraph(
+            ("hub", "a", "b", "c"), ((0, 1, 1), (0, 2, 1), (0, 3, 1))
+        )
+        assert suspension_split(star) is None
 
 
 class TestSuspensionVerdicts:

@@ -148,6 +148,37 @@ class TestDecomposeCommand:
         assert code == 3
         assert "disagree" in err
 
+    def test_split_skips_covers_route(self, p2, monkeypatch):
+        def refuse(graph):
+            raise AssertionError("covers route ran for --method split")
+
+        monkeypatch.setattr(cli, "cover_decomposition", refuse)
+        code, out, _ = invoke(["decompose", p2, "--method", "split"])
+        assert code == 0
+        assert out == "(X1^2, X2^5)\n(X1^2, X3^5)\n(X2^2)\n"
+
+    def test_huge_weight_checked(self, tmp_path):
+        path = tmp_path / "big.json"
+        path.write_text(
+            json.dumps(
+                {
+                    "vertices": ["v1", "v2", "v3"],
+                    "edges": [
+                        {"u": "v1", "v": "v2", "w": 10**20},
+                        {"u": "v2", "v": "v3", "w": 1},
+                    ],
+                }
+            )
+        )
+        code, out, _ = invoke(["decompose", str(path), "--check"])
+        assert code == 0
+        assert out == (
+            "(X1^100000000000000000000, X3)\n"
+            "(X2)\n"
+            "(X2^100000000000000000000, X3)\n"
+            "check: methods agree\n"
+        )
+
     def test_json_payload(self, p2):
         code, out, _ = invoke(["decompose", p2, "--format", "json"])
         doc = json.loads(out)
@@ -231,6 +262,35 @@ class TestClassifyCommand:
         code, _, err = invoke(["classify", p2, "--family", "cycle"])
         assert code == 2
         assert "error:" in err
+
+    def test_family_suspension(self, tmp_path):
+        # whiskered edge v1-v2 plus the isolated edge v5-v6: the whisker
+        # side of v5-v6 is free, the verdict is not
+        path = tmp_path / "s.json"
+        path.write_text(
+            json.dumps(
+                {
+                    "vertices": ["v1", "v2", "v3", "v4", "v5", "v6"],
+                    "edges": [
+                        {"u": "v1", "v": "v2", "w": 1},
+                        {"u": "v1", "v": "v3", "w": 2},
+                        {"u": "v2", "v": "v4", "w": 3},
+                        {"u": "v5", "v": "v6", "w": 9},
+                    ],
+                }
+            )
+        )
+        code, out, _ = invoke(
+            ["classify", str(path), "--family", "suspension", "--format", "json"]
+        )
+        assert code == 0
+        payload = json.loads(out)["payload"]
+        assert payload["unmixed"] is True
+        assert payload["certificate"]["whiskers"] == {
+            "v1": "v3",
+            "v2": "v4",
+            "v6": "v5",
+        }
 
     def test_json_includes_certificate(self, c5):
         _, out, _ = invoke(["classify", c5, "--format", "json"])

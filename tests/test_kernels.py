@@ -1,4 +1,5 @@
-"""The two kernel implementations must be byte-for-byte interchangeable."""
+"""Contract of the exponent-vector kernels and of the component pruning
+built on them."""
 
 import itertools
 import random
@@ -6,16 +7,13 @@ import random
 import pytest
 
 from graphideals import kernels
-from graphideals import _kernels_py as kpy
+from graphideals.decompose import _powers_leq, _prune_powers
 
-HAVE_CYTHON = "cython" in kernels.available()
 
-if HAVE_CYTHON:
-    from graphideals import _kernels_cy as kcy
-
-    IMPLS = [kpy, kcy]
-else:
-    IMPLS = [kpy]
+@pytest.fixture(params=kernels.available())
+def impl(request):
+    kernels.use(request.param)
+    return kernels
 
 
 def brute_minimalize(vecs):
@@ -37,7 +35,6 @@ def random_vecs(rng, count, dim, hi):
     ]
 
 
-@pytest.mark.parametrize("impl", IMPLS, ids=lambda m: m.IMPLEMENTATION)
 class TestKernelContract:
     def test_divides(self, impl):
         assert impl.divides((1, 0, 2), (1, 1, 2))
@@ -83,27 +80,53 @@ class TestKernelContract:
             for vecs in itertools.combinations(univ, size):
                 assert impl.minimalize(list(vecs)) == brute_minimalize(vecs)
 
+    def test_minimalize_dimension_mismatch_raises(self, impl):
+        with pytest.raises(ValueError):
+            impl.minimalize([(1, 0), (1, 0, 0)])
 
-@pytest.mark.skipif(not HAVE_CYTHON, reason="compiled kernel unavailable")
-class TestParity:
-    def test_identifiers(self):
-        assert kpy.IMPLEMENTATION == "python"
-        assert kcy.IMPLEMENTATION == "cython"
 
-    def test_randomized_parity(self):
-        rng = random.Random(7)
+def brute_prune_powers(items):
+    """All-pairs reference: drop every powers tuple some other one lies
+    below in the component order; dedupe; sort."""
+    uniq = sorted(set(items))
+    return tuple(
+        a for a in uniq if not any(b != a and _powers_leq(b, a) for b in uniq)
+    )
+
+
+def random_powers(rng, dim, max_exp):
+    support = rng.sample(range(dim), rng.randint(0, dim))
+    return tuple(sorted((i, rng.randint(1, max_exp)) for i in support))
+
+
+class TestPrunePowers:
+    def test_golden(self):
+        items = [((0, 2), (1, 5)), ((0, 2),), ((0, 1), (1, 5)), ((1, 1),)]
+        assert _prune_powers(items) == (((0, 2),), ((1, 1),))
+
+    def test_zero_component_is_below_everything(self):
+        assert _prune_powers([((0, 1),), (), ((2, 7),), ()]) == ((),)
+
+    def test_empty(self):
+        assert _prune_powers([]) == ()
+
+    def test_huge_exponents(self):
+        big = 10**20
+        items = [((0, big),), ((0, big), (1, 1)), ((0, big + 1),)]
+        assert _prune_powers(items) == brute_prune_powers(items)
+
+    def test_matches_all_pairs_sweep(self):
+        rng = random.Random(20261017)
         for trial in range(300):
             dim = rng.randint(1, 6)
-            a = random_vecs(rng, rng.randint(0, 10), dim, 5)
-            b = random_vecs(rng, rng.randint(1, 6), dim, 5)
-            assert kpy.minimalize(a) == kcy.minimalize(a)
-            assert kpy.intersect_rows(a, b) == kcy.intersect_rows(a, b)
-
-    def test_dimension_mismatch_raises(self):
-        with pytest.raises(ValueError):
-            kcy.minimalize([(1, 0), (1, 0, 0)])
-        with pytest.raises(ValueError):
-            kpy.minimalize([(1, 0), (1, 0, 0)])
+            max_exp = rng.randint(1, 4)
+            count = rng.randint(0, 14)
+            items = [random_powers(rng, dim, max_exp) for _ in range(count)]
+            # repeat some supports with fresh exponents
+            for powers in list(items[: rng.randint(0, len(items))]):
+                items.append(tuple((i, rng.randint(1, max_exp)) for i, _ in powers))
+            rng.shuffle(items)
+            assert _prune_powers(items) == brute_prune_powers(items)
 
 
 class TestSelector:

@@ -70,6 +70,16 @@ def ideal_and_monomial(draw, max_exp=6):
 
 
 @st.composite
+def ideal_and_member(draw, max_exp=4):
+    """A nonzero ideal with a monomial in it: a generator times a cofactor."""
+    ctx, rows, extra = draw(context_and_rows(max_exp=max_exp, lists=2))
+    assume(rows and extra)
+    g = draw(st.sampled_from(rows))
+    m = tuple(a + b for a, b in zip(g, extra[0]))
+    return ctx, MonomialIdeal.from_exponents(ctx, rows), ctx.monomial(m)
+
+
+@st.composite
 def weighted_graphs(draw, max_vertices=5, max_weight=3, min_edges=0):
     n = draw(st.integers(2, max_vertices))
     pairs = list(itertools.combinations(range(n), 2))
@@ -127,10 +137,10 @@ class TestMembership:
         K = intersect(I, J)
         assert ideal_leq(K, I) and ideal_leq(K, J)
 
-    @given(ideal_and_monomial(max_exp=4))
+    @given(ideal_and_member())
     def test_bracket_power_membership(self, drawn):
         ctx, I, m = drawn
-        assume(member(I, m))
+        assert member(I, m)
         cubed = ctx.monomial(tuple(e * 3 for e in m.exponents))
         assert member(bracket_power(I, 3), cubed)
 
