@@ -219,16 +219,13 @@ def suspension_split(graph: WeightedGraph) -> SuspensionDecomposition | None:
     so the weight condition gives every split the same verdict.  Returns
     None when no split pairs every vertex.
     """
-    neighbors = [[] for _ in range(graph.vertex_count)]
-    for u, v, _ in graph.edges:
-        neighbors[u].append(v)
-        neighbors[v].append(u)
+    adjacency = graph.adjacency
     whisker_of = {}
-    for w, around in enumerate(neighbors):
+    for w, around in enumerate(adjacency):
         if len(around) != 1:
             continue
-        anchor = around[0]
-        if len(neighbors[anchor]) == 1 and anchor < w:
+        (anchor,) = around
+        if len(adjacency[anchor]) == 1 and anchor < w:
             continue
         if anchor in whisker_of:
             return None
@@ -239,10 +236,10 @@ def suspension_split(graph: WeightedGraph) -> SuspensionDecomposition | None:
 
 
 def _edge_weight(graph: WeightedGraph, a: int, b: int) -> int:
-    for u, v, w in graph.edges:
-        if {u, v} == {a, b}:
-            return w
-    raise ValueError(f"no edge between {a} and {b}")
+    w = graph.adjacency[a].get(b)
+    if w is None:
+        raise ValueError(f"no edge between {a} and {b}")
+    return w
 
 
 def _validate_suspension(graph: WeightedGraph, dec: SuspensionDecomposition):

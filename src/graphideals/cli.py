@@ -137,12 +137,12 @@ def _cmd_radical(graph, options) -> dict:
 def _cmd_decompose(graph, options) -> dict:
     method = options.get("method", "covers")
     cap = options.get("max_components")
-    split_kw = {} if cap is None else {"max_components": cap}
+    cap_kw = {} if cap is None else {"max_components": cap}
     by_covers = by_split = None
     if method == "covers" or options.get("check"):
-        by_covers = cover_decomposition(graph)
+        by_covers = cover_decomposition(graph, **cap_kw)
     if method == "split" or options.get("check"):
-        by_split = split_decompose(weighted_edge_ideal(graph), **split_kw)
+        by_split = split_decompose(weighted_edge_ideal(graph), **cap_kw)
     picked = by_covers if method == "covers" else by_split
     payload = {
         "command": "decompose",
@@ -499,7 +499,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--max-components",
         type=int,
         metavar="N",
-        help="abort the split method past N components",
+        help="abort either method past N components",
     )
     add("covers", help="minimal weighted vertex covers")
     p = add("minimize", help="minimize a weighted cover")

@@ -12,16 +12,19 @@ what :func:`cover_decomposition` returns.
 
 from __future__ import annotations
 
+import bisect
 import itertools
+import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterable, Mapping, NamedTuple
 
 from .decompose import (
+    DEFAULT_COMPONENT_CAP,
     Decomposition,
+    DecompositionLimitError,
     IrreducibleComponent,
     _powers_leq,
-    _prune_powers,
 )
 from .monomials import MonomialIdeal, VariableContext
 
@@ -101,15 +104,26 @@ class WeightedGraph:
         """Polynomial variables X1..Xd, one per vertex in listed order."""
         return _context_of_dimension(self.vertex_count)
 
+    @cached_property
+    def adjacency(self) -> tuple[dict[int, int], ...]:
+        """Per vertex, {neighbour: edge weight} in ascending neighbour order.
+
+        Built once per graph and shared by every vertex query; read-only.
+        """
+        table = tuple({} for _ in self.vertex_names)
+        for u, v, w in self.edges:
+            table[u][v] = w
+            table[v][u] = w
+        return table
+
     def degree(self, v: int) -> int:
-        return sum(1 for e in self.edges if v in (e.u, e.v))
+        return len(self.adjacency[v])
 
     def incident_weights(self, v: int) -> tuple[int, ...]:
-        return tuple(sorted({e.w for e in self.edges if v in (e.u, e.v)}))
+        return tuple(sorted(set(self.adjacency[v].values())))
 
     def neighbors(self, v: int) -> tuple[int, ...]:
-        out = [e.v if e.u == v else e.u for e in self.edges if v in (e.u, e.v)]
-        return tuple(sorted(out))
+        return tuple(self.adjacency[v])
 
     def weights(self) -> tuple[int, ...]:
         return tuple(e.w for e in self.edges)
@@ -306,10 +320,7 @@ def _max_feasible_weight(graph, entries: Mapping[int, int], v: int) -> int | Non
     """Largest usable weight at v: the smallest weight among edges only v
     covers.  None when every incident edge is covered elsewhere."""
     cap = None
-    for a, b, w in graph.edges:
-        if v not in (a, b):
-            continue
-        other = b if a == v else a
+    for other, w in graph.adjacency[v].items():
         ow = entries.get(other)
         if ow is not None and ow <= w:
             continue
@@ -347,59 +358,153 @@ def minimize_cover(graph: WeightedGraph, cover: WeightedCover) -> WeightedCover:
     return WeightedCover(tuple(entries.items()))
 
 
-def enumerate_minimal_covers(graph: WeightedGraph) -> list[WeightedCover]:
+_OUT = math.inf  # threshold of a vertex outside the cover
+
+
+def _search_order(adjacency) -> list[int]:
+    """Non-isolated vertices, each component breadth-first from its
+    highest-degree vertex (lowest index on ties)."""
+    order = []
+    seen = set()
+    for root in sorted(range(len(adjacency)), key=lambda v: -len(adjacency[v])):
+        if not adjacency[root]:
+            break
+        if root in seen:
+            continue
+        seen.add(root)
+        order.append(root)
+        k = len(order) - 1
+        while k < len(order):
+            for u in adjacency[order[k]]:
+                if u not in seen:
+                    seen.add(u)
+                    order.append(u)
+            k += 1
+    return order
+
+
+def _can_rise(row, t, x) -> bool:
+    # a vertex at threshold x < out can step up to its next incident weight
+    # unless some edge of weight exactly x has no other endpoint covering it
+    return x is not _OUT and all(t[u] <= x for u, w in row.items() if w == x)
+
+
+def _maximal_thresholds(adjacency, max_components: int) -> list[tuple]:
+    """Entries of every minimal cover of the graph with this adjacency.
+
+    Depth-first over the vertices of :func:`_search_order` with an
+    explicit stack, so deep graphs need no recursion.  ``t[v]`` is the
+    vertex's threshold, ``cap[v]`` the bound that decided neighbours put
+    on it.  See :func:`enumerate_minimal_covers` for why every leaf is a
+    distinct minimal cover.
+    """
+    order = _search_order(adjacency)
+    n = len(order)
+    d = len(adjacency)
+    pos = [n] * d
+    for i, v in enumerate(order):
+        pos[v] = i
+    values = [sorted(set(adjacency[v].values())) + [_OUT] for v in order]
+    # settled[i]: vertices whose closed neighbourhood is decided at depth i
+    settled = [[] for _ in range(n)]
+    for v in order:
+        settled[max(pos[v], *(pos[u] for u in adjacency[v]))].append(v)
+    columns = sorted(order)
+    t = [_OUT] * d
+    cap = [_OUT] * d
+    options = [()] * n
+    tried = [0] * n
+    undo = [()] * n
+    if n:
+        options[0] = values[0]
+    found = []
+    depth = 0
+    while depth >= 0:
+        if depth == n:
+            found.append(tuple((v, t[v]) for v in columns if t[v] is not _OUT))
+            if len(found) > max_components:
+                raise DecompositionLimitError(
+                    f"cover enumeration exceeded {max_components} components"
+                )
+            depth -= 1
+            continue
+        for u, old in undo[depth]:
+            cap[u] = old
+        undo[depth] = ()
+        k = tried[depth]
+        if k == len(options[depth]):
+            depth -= 1
+            continue
+        tried[depth] = k + 1
+        v = order[depth]
+        x = t[v] = options[depth][k]
+        row = adjacency[v]
+        # x < out needs an edge of weight x whose other end can stay above x
+        if x is not _OUT and not any(
+            w == x and (cap[u] if pos[u] > depth else t[u]) > x
+            for u, w in row.items()
+        ):
+            continue
+        changed = []
+        for u, w in row.items():
+            if x > w and pos[u] > depth and cap[u] > w:
+                changed.append((u, cap[u]))
+                cap[u] = w
+        undo[depth] = changed
+        if any(_can_rise(adjacency[y], t, t[y]) for y in settled[depth]):
+            continue
+        depth += 1
+        if depth < n:
+            ladder = values[depth]
+            options[depth] = ladder[: bisect.bisect_right(ladder, cap[order[depth]])]
+            tried[depth] = 0
+    return sorted(found)
+
+
+def enumerate_minimal_covers(
+    graph: WeightedGraph, max_components: int = DEFAULT_COMPONENT_CAP
+) -> list[WeightedCover]:
     """All minimal weighted vertex covers, canonically ordered.
 
-    Candidates range over vertex subsets that cover the underlying graph,
-    with each chosen vertex weighted by one of its incident edge weights
-    (in a minimal cover every vertex covers some edge alone, and its
-    weight is the smallest such edge weight, so nothing else can occur).
-    A candidate survives exactly when no vertex can be dropped and no
-    single weight raised; surviving candidates are precisely the minimal
-    covers, and a final strict-order sweep double-checks that none lies
-    above another.
+    Give each vertex a threshold t(v): one of its incident edge weights
+    (its weight in the cover) or "out" (above every weight).  An
+    assignment is a cover exactly when min(t(u), t(v)) <= w on every edge
+    uv of weight w, and the cover order is the reverse componentwise
+    order on t, so the minimal covers are the componentwise-maximal
+    feasible assignments.  Feasibility is closed downwards, so an
+    assignment is maximal exactly when no single vertex can step up to
+    its next value.
+
+    A depth-first search decides the vertices in breadth-first order,
+    branching on every value at most the vertex's current cap.  Choosing
+    t(v) > w caps each undecided neighbour across an edge of weight w at
+    w, so every leaf is a cover.  A branch is cut as soon as a vertex whose
+    neighbours are all decided could step up, so every leaf is a distinct
+    minimal cover and no minimality sweep follows; it is cut earlier when
+    a vertex takes weight x and no edge of weight x at it can end up
+    covered by that vertex alone.  The work grows with
+    the number of covers found, not with the number of vertex subsets.
+    Raises DecompositionLimitError past ``max_components`` covers.
     """
-    if not graph.edges:
-        return [WeightedCover(())]
-    pairs = [(e.u, e.v) for e in graph.edges]
-    verts = [v for v in range(graph.vertex_count) if graph.degree(v) > 0]
-    incident = {v: graph.incident_weights(v) for v in verts}
-    found = []
-    for r in range(1, len(verts) + 1):
-        for subset in itertools.combinations(verts, r):
-            chosen = set(subset)
-            if not all(u in chosen or v in chosen for u, v in pairs):
-                continue
-            options = [incident[v] for v in subset]
-            for combo in itertools.product(*options):
-                entries = dict(zip(subset, combo))
-                if not _covers(graph, entries):
-                    continue
-                if any(
-                    _covers(graph, {u: w for u, w in entries.items() if u != v})
-                    for v in subset
-                ):
-                    continue
-                if any(
-                    (_max_feasible_weight(graph, entries, v) or 0) > entries[v]
-                    for v in subset
-                ):
-                    continue
-                found.append(tuple(entries.items()))
-    return [WeightedCover(entries) for entries in _prune_powers(found)]
+    found = _maximal_thresholds(graph.adjacency, max_components)
+    return [WeightedCover(entries) for entries in found]
 
 
-def cover_decomposition(graph: WeightedGraph) -> Decomposition:
+def cover_decomposition(
+    graph: WeightedGraph, max_components: int = DEFAULT_COMPONENT_CAP
+) -> Decomposition:
     """Irreducible components of the weighted edge ideal via minimal covers.
 
     One component per minimal weighted cover; the list is irredundant
     without any pruning because distinct minimal covers are incomparable.
     An edgeless graph yields the zero ideal's decomposition, the single
-    component P(empty).
+    component P(empty).  Raises DecompositionLimitError past
+    ``max_components`` components.
     """
     context = graph.context
     components = tuple(
-        cover_ideal(c, context) for c in enumerate_minimal_covers(graph)
+        cover_ideal(c, context)
+        for c in enumerate_minimal_covers(graph, max_components)
     )
     return Decomposition(context, components, irredundant=True)
 
@@ -426,25 +531,20 @@ def is_unmixed(graph: WeightedGraph) -> UnmixednessResult:
     return UnmixednessResult(False, None, (lo, hi))
 
 
-def minimal_vertex_covers(graph: WeightedGraph) -> list[tuple[int, ...]]:
-    """Inclusion-minimal unweighted vertex covers, sorted."""
-    pairs = [(e.u, e.v) for e in graph.edges]
-    if not pairs:
-        return [()]
-    verts = [v for v in range(graph.vertex_count) if graph.degree(v) > 0]
-    out = []
-    for r in range(1, len(verts) + 1):
-        for subset in itertools.combinations(verts, r):
-            chosen = set(subset)
-            if not all(u in chosen or v in chosen for u, v in pairs):
-                continue
-            if any(
-                all((u in chosen and u != x) or (v in chosen and v != x) for u, v in pairs)
-                for x in subset
-            ):
-                continue
-            out.append(tuple(subset))
-    return sorted(out)
+def minimal_vertex_covers(
+    graph: WeightedGraph, max_components: int = DEFAULT_COMPONENT_CAP
+) -> list[tuple[int, ...]]:
+    """Inclusion-minimal unweighted vertex covers, sorted.
+
+    The search of :func:`enumerate_minimal_covers` on the same graph with
+    every weight set to 1, where a minimal weighted cover is a minimal
+    vertex cover with weight 1 on each vertex.
+    """
+    unit = tuple(dict.fromkeys(row, 1) for row in graph.adjacency)
+    return [
+        tuple(v for v, _ in entries)
+        for entries in _maximal_thresholds(unit, max_components)
+    ]
 
 
 def minimal_primes(graph: WeightedGraph) -> list[tuple[int, ...]]:

@@ -201,6 +201,20 @@ class TestCoversCommand:
         doc = json.loads(out)
         assert doc["payload"]["count"] == len(doc["payload"]["covers"])
 
+    def test_large_star(self, tmp_path):
+        # far deeper than the default recursion limit
+        leaves = [f"l{i}" for i in range(3000)]
+        doc = {
+            "vertices": ["c"] + leaves,
+            "edges": [{"u": "c", "v": x, "w": 1 + i % 3} for i, x in enumerate(leaves)],
+        }
+        path = tmp_path / "star.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = invoke(["covers", str(path), "--format", "json"])
+        assert code == 0
+        assert err == ""
+        assert json.loads(out)["payload"]["count"] == 4
+
 
 class TestMinimizeCommand:
     def test_removes_vertex(self, c5):
@@ -384,6 +398,16 @@ class TestErrorDiscipline:
         )
         assert code == 2
         assert "component" in err
+
+    def test_component_cap_bounds_covers_route(self, c5):
+        code, _, err = invoke(
+            ["decompose", c5, "--method", "covers", "--max-components", "3"]
+        )
+        assert code == 2
+        assert "component" in err
+        code, out, _ = invoke(["decompose", c5, "--max-components", "6"])
+        assert code == 0
+        assert len(out.splitlines()) == 6
 
     def test_oversized_unit_error(self, tmp_path):
         # decomposing needs at least the zero ideal; an empty vertex list
