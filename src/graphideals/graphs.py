@@ -480,10 +480,11 @@ def enumerate_minimal_covers(
     t(v) > w caps each undecided neighbour across an edge of weight w at
     w, so every leaf is a cover.  A branch is cut as soon as a vertex whose
     neighbours are all decided could step up, so every leaf is a distinct
-    minimal cover and no minimality sweep follows; it is cut earlier when
-    a vertex takes weight x and no edge of weight x at it can end up
-    covered by that vertex alone.  The work grows with
-    the number of covers found, not with the number of vertex subsets.
+    minimal cover and no minimality sweep follows.  A vertex that takes
+    weight x must be the only cover of some edge of weight x, so a branch
+    is also cut as soon as every such edge has its other end decided or
+    capped at or below x.  The search never lists vertex subsets, but
+    nothing bounds the work between two leaves.
     Raises DecompositionLimitError past ``max_components`` covers.
     """
     found = _maximal_thresholds(graph.adjacency, max_components)
@@ -531,9 +532,7 @@ def is_unmixed(graph: WeightedGraph) -> UnmixednessResult:
     return UnmixednessResult(False, None, (lo, hi))
 
 
-def minimal_vertex_covers(
-    graph: WeightedGraph, max_components: int = DEFAULT_COMPONENT_CAP
-) -> list[tuple[int, ...]]:
+def minimal_vertex_covers(graph: WeightedGraph) -> list[tuple[int, ...]]:
     """Inclusion-minimal unweighted vertex covers, sorted.
 
     The search of :func:`enumerate_minimal_covers` on the same graph with
@@ -543,7 +542,7 @@ def minimal_vertex_covers(
     unit = tuple(dict.fromkeys(row, 1) for row in graph.adjacency)
     return [
         tuple(v for v, _ in entries)
-        for entries in _maximal_thresholds(unit, max_components)
+        for entries in _maximal_thresholds(unit, DEFAULT_COMPONENT_CAP)
     ]
 
 

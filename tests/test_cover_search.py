@@ -22,6 +22,7 @@ from graphideals.graphs import (
     Edge,
     WeightedCover,
     WeightedGraph,
+    _maximal_thresholds,
     cover_decomposition,
     enumerate_minimal_covers,
     minimal_vertex_covers,
@@ -195,11 +196,12 @@ class TestComponentCap:
         with pytest.raises(DecompositionLimitError):
             cover_decomposition(g, max_components=2)
 
-    def test_unit_covers_capped(self):
-        g = path_graph([1, 1, 1])
-        assert len(minimal_vertex_covers(g, max_components=3)) == 3
+    def test_unit_search_capped(self):
+        # minimal_vertex_covers runs this search with the default cap
+        unit = path_graph([1, 1, 1]).adjacency
+        assert len(_maximal_thresholds(unit, 3)) == 3
         with pytest.raises(DecompositionLimitError):
-            minimal_vertex_covers(g, max_components=2)
+            _maximal_thresholds(unit, 2)
 
 
 class TestAdjacency:
