@@ -40,12 +40,10 @@ from .graphs import (
     Edge,
     GraphValidationError,
     UnmixednessResult,
-    WeightedCover,
     WeightedGraph,
     associated_primes,
     complete_graph,
     cover_decomposition,
-    cover_ideal,
     cover_leq,
     cycle_graph,
     edge_ideal,

@@ -472,7 +472,7 @@ def classify_auto(graph: WeightedGraph) -> Verdict:
         lo, hi = result.witnesses
         certificate = {
             "witnesses": [
-                {graph.vertex_names[v]: w for v, w in c.entries} for c in (lo, hi)
+                {graph.vertex_names[v]: w for v, w in c.powers} for c in (lo, hi)
             ]
         }
     return Verdict(

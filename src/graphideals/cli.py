@@ -36,10 +36,14 @@ from .classify import (
     cycle_weight_sequence,
     suspension_split,
 )
-from .decompose import DecompositionLimitError, split_decompose
+from .decompose import (
+    DEFAULT_COMPONENT_CAP,
+    DecompositionLimitError,
+    IrreducibleComponent,
+    split_decompose,
+)
 from .graphs import (
     GraphValidationError,
-    WeightedCover,
     cover_decomposition,
     enumerate_minimal_covers,
     associated_primes,
@@ -123,7 +127,7 @@ def _component_pairs(graph, component):
 
 
 def _cover_pairs(graph, cover):
-    return [[graph.vertex_names[v], w] for v, w in cover.entries]
+    return [[graph.vertex_names[v], w] for v, w in cover.powers]
 
 
 def _cmd_ideal(graph, options) -> dict:
@@ -136,13 +140,12 @@ def _cmd_radical(graph, options) -> dict:
 
 def _cmd_decompose(graph, options) -> dict:
     method = options.get("method", "covers")
-    cap = options.get("max_components")
-    cap_kw = {} if cap is None else {"max_components": cap}
+    cap = options.get("max_components", DEFAULT_COMPONENT_CAP)
     by_covers = by_split = None
     if method == "covers" or options.get("check"):
-        by_covers = cover_decomposition(graph, **cap_kw)
+        by_covers = cover_decomposition(graph, cap)
     if method == "split" or options.get("check"):
-        by_split = split_decompose(weighted_edge_ideal(graph), **cap_kw)
+        by_split = split_decompose(weighted_edge_ideal(graph), cap)
     picked = by_covers if method == "covers" else by_split
     payload = {
         "command": "decompose",
@@ -172,7 +175,7 @@ def _cmd_covers(graph, options) -> dict:
     }
 
 
-def _parse_cover_option(graph, text: str) -> WeightedCover:
+def _parse_cover_option(graph, text: str) -> IrreducibleComponent:
     entries = []
     for chunk in text.split(","):
         chunk = chunk.strip()
@@ -197,10 +200,9 @@ def _parse_cover_option(graph, text: str) -> WeightedCover:
         entries.append((graph.vertex_names.index(name), weight))
     if not entries:
         raise CommandError("parse", "empty cover given")
-    try:
-        return WeightedCover(tuple(entries))
-    except ValueError as exc:
-        raise CommandError("validation", str(exc)) from exc
+    if len(dict(entries)) != len(entries):
+        raise CommandError("validation", "cover vertices must be distinct")
+    return IrreducibleComponent(graph.context, tuple(entries))
 
 
 def _cmd_minimize(graph, options) -> dict:
@@ -345,40 +347,22 @@ def run(request: CommandRequest) -> Report:
             [f"unknown command {request.command!r}"],
         )
     try:
-        if request.command == "verify":
-            graph = _load_graph(request.input_path) if request.input_path else None
-            payload = handler(graph, request.options)
-        else:
-            if not request.input_path:
-                raise CommandError("parse", f"{request.command} needs a graph file")
+        if request.input_path:
             graph = _load_graph(request.input_path)
-            payload = handler(graph, request.options)
-    except CommandError as exc:
-        return Report(
-            "error",
-            {"error_kind": exc.kind, "command": request.command},
-            [str(exc)],
-        )
+        elif request.command == "verify":
+            graph = None
+        else:
+            raise CommandError("parse", f"{request.command} needs a graph file")
+        payload = handler(graph, request.options)
     except _VerifyFailure as exc:
         payload = dict(exc.payload)
         payload["error_kind"] = "oracle"
         return Report("error", payload, exc.messages)
-    except GraphValidationError as exc:
+    except (CommandError, DecompositionLimitError, ValueError) as exc:
+        kind = exc.kind if isinstance(exc, CommandError) else "validation"
         return Report(
             "error",
-            {"error_kind": "validation", "command": request.command},
-            [str(exc)],
-        )
-    except DecompositionLimitError as exc:
-        return Report(
-            "error",
-            {"error_kind": "validation", "command": request.command},
-            [str(exc)],
-        )
-    except ValueError as exc:
-        return Report(
-            "error",
-            {"error_kind": "validation", "command": request.command},
+            {"error_kind": kind, "command": request.command},
             [str(exc)],
         )
     return Report("ok", payload, [])
@@ -476,6 +460,16 @@ def report_from_json(text: str) -> Report:
     return Report(data["status"], data["payload"], data["diagnostics"])
 
 
+def _component_cap(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"N must be at least 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="graphideals", description=__doc__.split("\n")[0])
     parser.add_argument("--version", action="version", version=__version__)
@@ -497,7 +491,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--check", action="store_true", help="cross-check both methods")
     p.add_argument(
         "--max-components",
-        type=int,
+        type=_component_cap,
         metavar="N",
         help="abort either method past N components",
     )

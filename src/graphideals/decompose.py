@@ -35,17 +35,21 @@ class IrreducibleComponent:
     """An m-irreducible ideal P(V', d'): pure powers of distinct variables.
 
     ``powers`` holds (variable index, exponent) pairs with exponents >= 1,
-    kept sorted by index.  The empty tuple is the zero ideal.
+    kept sorted by index.  The empty tuple is the zero ideal.  Over a
+    graph's context the same pairs are the weighted vertex cover (V', d'):
+    vertex v carries weight d'(v), the exponent of X_v.
     """
 
     context: VariableContext
     powers: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
-        powers = tuple(sorted((int(i), int(e)) for i, e in self.powers))
-        object.__setattr__(self, "powers", powers)
+        powers = tuple((i, e) for i, e in self.powers)
         seen = set()
         for i, e in powers:
+            for n in (i, e):
+                if isinstance(n, bool) or not isinstance(n, int):
+                    raise ValueError("component indices and exponents must be ints")
             if not 0 <= i < self.context.dimension:
                 raise ValueError(f"variable index {i} out of range")
             if e < 1:
@@ -53,6 +57,7 @@ class IrreducibleComponent:
             if i in seen:
                 raise ValueError("component variables must be distinct")
             seen.add(i)
+        object.__setattr__(self, "powers", tuple(sorted(powers)))
 
     @classmethod
     def from_ideal(cls, ideal: MonomialIdeal) -> "IrreducibleComponent":

@@ -4,8 +4,10 @@ A weighted graph carries a positive integer weight on every edge.  Its
 weighted edge ideal takes the generator (x_u * x_v)**w for each edge; a
 weighted vertex cover assigns a weight to each chosen vertex and covers an
 edge when some endpoint sits in the cover with weight at most the edge's.
-Under the order in :func:`cover_leq` (smaller covers have fewer vertices
-carrying larger weights), the minimal covers correspond exactly to the
+A cover (V', d') is held as the irreducible component
+P(V', d') = (x_v^d'(v) : v in V') over the graph's context.  Under the
+order in :func:`cover_leq` (smaller covers have fewer vertices carrying
+larger weights, i.e. smaller ideals), the minimal covers are exactly the
 irredundant irreducible components of the weighted edge ideal, which is
 what :func:`cover_decomposition` returns.
 """
@@ -212,49 +214,6 @@ def validate_graph(data) -> WeightedGraph:
     return WeightedGraph(tuple(vertices), tuple(edges))
 
 
-@dataclass(frozen=True)
-class WeightedCover:
-    """A choice of vertices with one positive weight each."""
-
-    entries: tuple[tuple[int, int], ...]
-
-    def __post_init__(self):
-        entries = tuple(sorted((int(v), int(w)) for v, w in self.entries))
-        object.__setattr__(self, "entries", entries)
-        seen = set()
-        for v, w in entries:
-            if v < 0:
-                raise ValueError("cover vertex indices must be nonnegative")
-            if v in seen:
-                raise ValueError("cover vertices must be distinct")
-            if w < 1:
-                raise ValueError("cover weights must be positive")
-            seen.add(v)
-
-    @classmethod
-    def from_dict(cls, mapping: Mapping[int, int]) -> "WeightedCover":
-        return cls(tuple(mapping.items()))
-
-    def as_dict(self) -> dict[int, int]:
-        return dict(self.entries)
-
-    @property
-    def support(self) -> tuple[int, ...]:
-        return tuple(v for v, _ in self.entries)
-
-    @property
-    def cardinality(self) -> int:
-        return len(self.entries)
-
-    def weight(self, v: int) -> int | None:
-        return dict(self.entries).get(v)
-
-    def format(self, names) -> str:
-        if not self.entries:
-            return "{}"
-        return "{" + ", ".join(f"{names[v]}^{w}" for v, w in self.entries) + "}"
-
-
 def edge_ideal(graph: WeightedGraph) -> MonomialIdeal:
     """The squarefree ideal with x_u * x_v for every edge."""
     d = graph.vertex_count
@@ -279,14 +238,6 @@ def weighted_edge_ideal(graph: WeightedGraph) -> MonomialIdeal:
     return MonomialIdeal.from_exponents(graph.context, rows)
 
 
-def _check_cover_indices(graph: WeightedGraph, cover: WeightedCover):
-    for v, _ in cover.entries:
-        if v >= graph.vertex_count:
-            raise GraphValidationError(
-                "bad-index", f"cover vertex index {v} out of range"
-            )
-
-
 def _covers(graph: WeightedGraph, entries: Mapping[int, int]) -> bool:
     for u, v, w in graph.edges:
         wu = entries.get(u)
@@ -296,24 +247,25 @@ def _covers(graph: WeightedGraph, entries: Mapping[int, int]) -> bool:
     return True
 
 
-def is_weighted_cover(graph: WeightedGraph, cover: WeightedCover) -> bool:
-    """Every edge has an endpoint in the cover with weight <= the edge's."""
-    _check_cover_indices(graph, cover)
-    return _covers(graph, cover.as_dict())
+def is_weighted_cover(graph: WeightedGraph, cover: IrreducibleComponent) -> bool:
+    """Every edge has an endpoint in the cover with weight <= the edge's.
+
+    Raises GraphValidationError unless the cover is over ``graph.context``.
+    """
+    if cover.context != graph.context:
+        raise GraphValidationError(
+            "bad-index", "cover is not over the graph's variables X1..Xd"
+        )
+    return _covers(graph, cover.powers_dict())
 
 
-def cover_leq(smaller: WeightedCover, larger: WeightedCover) -> bool:
+def cover_leq(smaller: IrreducibleComponent, larger: IrreducibleComponent) -> bool:
     """Cover order: smaller support inside larger, with larger weights.
 
     (V'', d'') <= (V', d') means V'' is a subset of V' and d'(v) <= d''(v)
     for every v in V''.  Mirrors containment of the associated ideals.
     """
-    return _powers_leq(smaller.entries, larger.entries)
-
-
-def cover_ideal(cover: WeightedCover, context: VariableContext) -> IrreducibleComponent:
-    """The m-irreducible ideal generated by x_v**d'(v) over the cover."""
-    return IrreducibleComponent(context, cover.entries)
+    return _powers_leq(smaller.powers, larger.powers)
 
 
 def _max_feasible_weight(graph, entries: Mapping[int, int], v: int) -> int | None:
@@ -328,7 +280,9 @@ def _max_feasible_weight(graph, entries: Mapping[int, int], v: int) -> int | Non
     return cap
 
 
-def minimize_cover(graph: WeightedGraph, cover: WeightedCover) -> WeightedCover:
+def minimize_cover(
+    graph: WeightedGraph, cover: IrreducibleComponent
+) -> IrreducibleComponent:
     """Shrink a weighted cover to a minimal one below it.
 
     Phase 1 repeatedly deletes the lowest-indexed vertex whose removal
@@ -337,10 +291,9 @@ def minimize_cover(graph: WeightedGraph, cover: WeightedCover) -> WeightedCover:
     property.  The result is minimal and lies below the input in the
     cover order.
     """
-    _check_cover_indices(graph, cover)
-    entries = cover.as_dict()
-    if not _covers(graph, entries):
+    if not is_weighted_cover(graph, cover):
         raise ValueError("input is not a weighted vertex cover of this graph")
+    entries = cover.powers_dict()
     while True:
         removable = None
         for v in sorted(entries):
@@ -355,7 +308,7 @@ def minimize_cover(graph: WeightedGraph, cover: WeightedCover) -> WeightedCover:
         cap = _max_feasible_weight(graph, entries, v)
         if cap is not None:
             entries[v] = cap
-    return WeightedCover(tuple(entries.items()))
+    return IrreducibleComponent(graph.context, tuple(entries.items()))
 
 
 _OUT = math.inf  # threshold of a vertex outside the cover
@@ -463,7 +416,7 @@ def _maximal_thresholds(adjacency, max_components: int) -> list[tuple]:
 
 def enumerate_minimal_covers(
     graph: WeightedGraph, max_components: int = DEFAULT_COMPONENT_CAP
-) -> list[WeightedCover]:
+) -> list[IrreducibleComponent]:
     """All minimal weighted vertex covers, canonically ordered.
 
     Give each vertex a threshold t(v): one of its incident edge weights
@@ -487,8 +440,9 @@ def enumerate_minimal_covers(
     nothing bounds the work between two leaves.
     Raises DecompositionLimitError past ``max_components`` covers.
     """
+    context = graph.context
     found = _maximal_thresholds(graph.adjacency, max_components)
-    return [WeightedCover(entries) for entries in found]
+    return [IrreducibleComponent(context, entries) for entries in found]
 
 
 def cover_decomposition(
@@ -502,19 +456,15 @@ def cover_decomposition(
     component P(empty).  Raises DecompositionLimitError past
     ``max_components`` components.
     """
-    context = graph.context
-    components = tuple(
-        cover_ideal(c, context)
-        for c in enumerate_minimal_covers(graph, max_components)
-    )
-    return Decomposition(context, components, irredundant=True)
+    covers = enumerate_minimal_covers(graph, max_components)
+    return Decomposition(graph.context, tuple(covers), irredundant=True)
 
 
 @dataclass(frozen=True)
 class UnmixednessResult:
     unmixed: bool
     cardinality: int | None
-    witnesses: tuple[WeightedCover, WeightedCover] | None
+    witnesses: tuple[IrreducibleComponent, IrreducibleComponent] | None
 
 
 def is_unmixed(graph: WeightedGraph) -> UnmixednessResult:
@@ -524,11 +474,11 @@ def is_unmixed(graph: WeightedGraph) -> UnmixednessResult:
     mixed graph the result carries two covers of different cardinalities.
     """
     covers = enumerate_minimal_covers(graph)
-    cards = sorted({c.cardinality for c in covers})
+    cards = sorted({c.m_height for c in covers})
     if len(cards) == 1:
         return UnmixednessResult(True, cards[0], None)
-    lo = next(c for c in covers if c.cardinality == cards[0])
-    hi = next(c for c in covers if c.cardinality == cards[-1])
+    lo = next(c for c in covers if c.m_height == cards[0])
+    hi = next(c for c in covers if c.m_height == cards[-1])
     return UnmixednessResult(False, None, (lo, hi))
 
 

@@ -13,13 +13,11 @@ import itertools
 import random
 from dataclasses import dataclass
 
-from .decompose import is_m_unmixed_ideal, split_decompose
+from .decompose import IrreducibleComponent, is_m_unmixed_ideal, split_decompose
 from .graphs import (
     Edge,
-    WeightedCover,
     WeightedGraph,
     cover_decomposition,
-    cover_ideal,
     cover_leq,
     enumerate_minimal_covers,
     edge_ideal,
@@ -76,7 +74,7 @@ def _mutated_covers(graph, covers, rng, count):
     out = []
     d = graph.vertex_count
     for _ in range(count):
-        base = dict(rng.choice(covers).entries) if covers else {}
+        base = rng.choice(covers).powers_dict() if covers else {}
         mutation = rng.randrange(3)
         if mutation == 0 and base:
             v = rng.choice(sorted(base))
@@ -87,7 +85,7 @@ def _mutated_covers(graph, covers, rng, count):
         else:
             v = rng.randrange(d)
             base[v] = rng.randint(1, 4)
-        out.append(WeightedCover(tuple(base.items())))
+        out.append(IrreducibleComponent(graph.context, tuple(base.items())))
     return out
 
 
@@ -144,7 +142,7 @@ def check_graph(graph: WeightedGraph, rng: random.Random | None = None):
     for c1, c2 in itertools.product(pool, repeat=2):
         cases += 1
         expected = cover_leq(c1, c2)
-        got = ideal_leq(cover_ideal(c1, context).ideal(), cover_ideal(c2, context).ideal())
+        got = ideal_leq(c1.ideal(), c2.ideal())
         if expected != got:
             ok = False
             detail = f"cover order vs ideal order differ on {c1} vs {c2}"
@@ -154,7 +152,7 @@ def check_graph(graph: WeightedGraph, rng: random.Random | None = None):
     ok = True
     detail = ""
     for c in pool:
-        contained = ideal_leq(ideal, cover_ideal(c, context).ideal())
+        contained = ideal_leq(ideal, c.ideal())
         if is_weighted_cover(graph, c) != contained:
             ok = False
             detail = f"cover predicate vs containment differ on {c}"
@@ -178,7 +176,7 @@ def check_graph(graph: WeightedGraph, rng: random.Random | None = None):
     if graph.edges:
         seeds = []
         for c in covers[:4]:
-            entries = dict(c.entries)
+            entries = c.powers_dict()
             outside = [v for v in range(graph.vertex_count) if v not in entries]
             extras = [v for v in outside if graph.degree(v) > 0]
             if extras:
@@ -187,7 +185,7 @@ def check_graph(graph: WeightedGraph, rng: random.Random | None = None):
             if entries:
                 v = sorted(entries)[0]
                 entries[v] = max(1, entries[v] - 1)
-            seeds.append(WeightedCover(tuple(entries.items())))
+            seeds.append(IrreducibleComponent(context, tuple(entries.items())))
         for seed in seeds:
             if not is_weighted_cover(graph, seed):
                 continue
@@ -209,8 +207,8 @@ def check_graph(graph: WeightedGraph, rng: random.Random | None = None):
     for support in plain_covers:
         if not support:
             continue
-        lifted = WeightedCover(
-            tuple((v, min(graph.incident_weights(v))) for v in support)
+        lifted = IrreducibleComponent(
+            context, tuple((v, min(graph.incident_weights(v))) for v in support)
         )
         shrunk = minimize_cover(graph, lifted)
         if shrunk.support != support:

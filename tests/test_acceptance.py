@@ -25,13 +25,11 @@ from graphideals.classify import (
     classify_tree,
 )
 from graphideals.cli import main
-from graphideals.decompose import split_decompose
+from graphideals.decompose import IrreducibleComponent, split_decompose
 from graphideals.graphs import (
-    WeightedCover,
     WeightedGraph,
     complete_graph,
     cover_decomposition,
-    cover_ideal,
     cover_leq,
     cycle_graph,
     edge_ideal,
@@ -122,10 +120,13 @@ def test_criterion_02_triangle_worked_example():
 def test_criterion_03_minimization_golden():
     with criterion(3, "five-cycle cover minimization goldens"):
         g = cycle_graph([2, 5, 3, 4, 2])
-        got = minimize_cover(g, WeightedCover.from_dict({0: 2, 1: 5, 3: 3, 4: 2}))
-        assert got == WeightedCover.from_dict({0: 2, 1: 5, 3: 3})
-        got = minimize_cover(g, WeightedCover.from_dict({0: 2, 1: 5, 3: 2}))
-        assert got == WeightedCover.from_dict({0: 2, 1: 5, 3: 3})
+        def cover(entries):
+            return IrreducibleComponent(g.context, tuple(entries.items()))
+
+        got = minimize_cover(g, cover({0: 2, 1: 5, 3: 3, 4: 2}))
+        assert got == cover({0: 2, 1: 5, 3: 3})
+        got = minimize_cover(g, cover({0: 2, 1: 5, 3: 2}))
+        assert got == cover({0: 2, 1: 5, 3: 3})
 
 
 def test_criterion_04_oracle_equivalence():
@@ -212,7 +213,7 @@ def test_criterion_07_complete_graphs():
                 ws = [rng.randint(1, 4) for _ in range(edge_count)]
                 g = complete_graph(n, ws)
                 covers = enumerate_minimal_covers(g)
-                assert all(c.cardinality == n - 1 for c in covers), (n, ws)
+                assert all(c.m_height == n - 1 for c in covers), (n, ws)
                 v = classify_complete(g)
                 assert v.unmixed and v.cohen_macaulay == CM_YES
 
@@ -268,7 +269,7 @@ def random_cover_candidates(g, rng, count):
             for v in range(g.vertex_count)
             if rng.random() < 0.5
         }
-        out.append(WeightedCover.from_dict(entries))
+        out.append(IrreducibleComponent(g.context, tuple(entries.items())))
     return out
 
 
@@ -285,7 +286,6 @@ def test_criterion_09_structural_identities():
             for _ in range(100)
         ]
         for g in corpus:
-            ctx = g.context
             I = weighted_edge_ideal(g)
             assert ideal_eq(m_radical(I), edge_ideal(g))
             weights = set(g.weights())
@@ -295,15 +295,13 @@ def test_criterion_09_structural_identities():
             pool = enumerate_minimal_covers(g) + random_cover_candidates(g, rng, 4)
             for c in pool:
                 member = is_weighted_cover(g, c)
-                contained = ideal_leq(I, cover_ideal(c, ctx).ideal())
+                contained = ideal_leq(I, c.ideal())
                 assert member == contained, (g, c)
             for c2, c1 in itertools.product(pool[:8], repeat=2):
-                if not c2.entries:
+                if not c2.powers:
                     continue
                 lhs = cover_leq(c2, c1)
-                rhs = ideal_leq(
-                    cover_ideal(c2, ctx).ideal(), cover_ideal(c1, ctx).ideal()
-                )
+                rhs = ideal_leq(c2.ideal(), c1.ideal())
                 assert lhs == rhs, (g, c2, c1)
 
 

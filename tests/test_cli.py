@@ -196,6 +196,11 @@ class TestCoversCommand:
         code, out, _ = invoke(["covers", p2])
         assert out == "{v1^2, v2^5}\n{v1^2, v3^5}\n{v2^2}\n"
 
+    def test_edgeless_empty_cover(self, tmp_path):
+        path = tmp_path / "edgeless.json"
+        path.write_text(json.dumps({"vertices": ["a", "b"], "edges": []}))
+        assert invoke(["covers", str(path)]) == (0, "{}\n", "")
+
     def test_count_in_json(self, c5):
         _, out, _ = invoke(["covers", c5, "--format", "json"])
         doc = json.loads(out)
@@ -240,6 +245,10 @@ class TestMinimizeCommand:
     def test_malformed_cover_option(self, c5):
         code, _, err = invoke(["minimize", c5, "--cover", "v1=2"])
         assert code == 1
+
+    def test_duplicate_vertex(self, c5):
+        code, out, err = invoke(["minimize", c5, "--cover", "v1:2,v1:3,v2:1"])
+        assert (code, out, err) == (2, "", "error: cover vertices must be distinct\n")
 
 
 class TestUnmixedCommand:
@@ -408,6 +417,23 @@ class TestErrorDiscipline:
         code, out, _ = invoke(["decompose", c5, "--max-components", "6"])
         assert code == 0
         assert len(out.splitlines()) == 6
+
+    @pytest.mark.parametrize("method", ["covers", "split"])
+    @pytest.mark.parametrize("cap", ["0", "-3"])
+    def test_component_cap_below_one_is_usage_error(self, tmp_path, method, cap):
+        path = tmp_path / "edgeless.json"
+        path.write_text(json.dumps({"vertices": ["a", "b"], "edges": []}))
+        argv = ["decompose", str(path), "--method", method, "--max-components"]
+        code, out, err = invoke(argv + [cap])
+        assert (code, out) == (1, "")
+        assert f"N must be at least 1, got {cap}" in err
+        code, out, _ = invoke(argv + ["1"])
+        assert (code, out) == (0, "0 (zero ideal)\n")
+
+    def test_component_cap_not_an_int(self, p2):
+        code, _, err = invoke(["decompose", p2, "--max-components", "x"])
+        assert code == 1
+        assert err == "error: argument --max-components: invalid int value: 'x'\n"
 
     def test_oversized_unit_error(self, tmp_path):
         # decomposing needs at least the zero ideal; an empty vertex list

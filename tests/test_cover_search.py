@@ -17,10 +17,13 @@ import time
 import pytest
 
 from graphideals.classify import classify_auto
-from graphideals.decompose import DecompositionLimitError, _prune_powers
+from graphideals.decompose import (
+    DecompositionLimitError,
+    IrreducibleComponent,
+    _prune_powers,
+)
 from graphideals.graphs import (
     Edge,
-    WeightedCover,
     WeightedGraph,
     _maximal_thresholds,
     cover_decomposition,
@@ -128,7 +131,7 @@ def seeded_gnp(count, seed, max_vertices=7, max_weight=3):
 
 
 def entries_of(covers):
-    return [c.entries for c in covers]
+    return [c.powers for c in covers]
 
 
 def star(leaves):
@@ -175,9 +178,10 @@ class TestAgainstOracles:
 
 class TestDeepSearch:
     def test_star_far_past_recursion_limit(self):
-        covers = enumerate_minimal_covers(star(3000))
+        g = star(3000)
+        covers = enumerate_minimal_covers(g)
         assert len(covers) == 4
-        assert covers[0] == WeightedCover(((0, 1),))
+        assert covers[0] == IrreducibleComponent(g.context, ((0, 1),))
         assert covers[-1].support == tuple(range(1, 3001))
 
     def test_unit_star(self):

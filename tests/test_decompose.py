@@ -42,6 +42,15 @@ class TestComponent:
         with pytest.raises(ValueError):
             comp(X3, {3: 1})
 
+    @pytest.mark.parametrize(
+        "powers",
+        [((0, 2.7), (1, 1)), ((0, 2), (1, True)), ((True, 2),), (("0", 1),)],
+    )
+    def test_rejects_non_int_entries(self, powers):
+        # no silent truncation: (0, 2.7) must not become X1^2
+        with pytest.raises(ValueError, match="must be ints"):
+            IrreducibleComponent(X3, powers)
+
     def test_support_and_height(self):
         c = comp(X5, {0: 2, 1: 5, 3: 3})
         assert c.support == (0, 1, 3)

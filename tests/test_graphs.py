@@ -7,12 +7,10 @@ import pytest
 from graphideals.decompose import IrreducibleComponent, split_decompose
 from graphideals.graphs import (
     GraphValidationError,
-    WeightedCover,
     WeightedGraph,
     associated_primes,
     complete_graph,
     cover_decomposition,
-    cover_ideal,
     cover_leq,
     cycle_graph,
     edge_ideal,
@@ -36,8 +34,8 @@ C3 = cycle_graph([1, 2, 3])
 C5 = cycle_graph([2, 5, 3, 4, 2])
 
 
-def cover(mapping):
-    return WeightedCover.from_dict(mapping)
+def cover(mapping, graph=C5):
+    return IrreducibleComponent(graph.context, tuple(mapping.items()))
 
 
 def edgeless(n):
@@ -158,11 +156,11 @@ class TestCoverPredicate:
         assert is_weighted_cover(C5, cover({0: 2, 1: 5, 3: 3, 4: 2}))
 
     def test_edgeless_empty_cover(self):
-        assert is_weighted_cover(edgeless(2), cover({}))
+        assert is_weighted_cover(edgeless(2), cover({}, edgeless(2)))
 
     def test_out_of_range_index(self):
         with pytest.raises(GraphValidationError):
-            is_weighted_cover(P2, cover({5: 1}))
+            is_weighted_cover(P2, cover({5: 1}, edgeless(6)))
 
     def test_rejects_bad_weight(self):
         with pytest.raises(ValueError):
@@ -190,16 +188,14 @@ class TestCoverOrder:
 
 class TestCoverIdeal:
     def test_four_entry_cover(self):
-        got = cover_ideal(cover({0: 2, 1: 5, 3: 3, 4: 2}), C5.context)
+        got = cover({0: 2, 1: 5, 3: 3, 4: 2})
         assert str(got) == "(X1^2, X2^5, X4^3, X5^2)"
 
     def test_empty_cover_zero_ideal(self):
-        got = cover_ideal(cover({}), P2.context)
-        assert got.ideal().is_zero
+        assert cover({}, P2).ideal().is_zero
 
     def test_singleton(self):
-        got = cover_ideal(cover({1: 2}), P2.context)
-        assert str(got) == "(X2^2)"
+        assert str(cover({1: 2}, P2)) == "(X2^2)"
 
     def test_order_matches_ideal_containment(self):
         pool = [
@@ -210,7 +206,7 @@ class TestCoverIdeal:
         ]
         for c2, c1 in itertools.product(pool, repeat=2):
             lhs = cover_leq(c2, c1)
-            rhs = cover_ideal(c1, C5.context).contains(cover_ideal(c2, C5.context))
+            rhs = c1.contains(c2)
             assert lhs == rhs
 
 
@@ -231,6 +227,11 @@ class TestMinimize:
         with pytest.raises(ValueError, match="not a weighted vertex cover"):
             minimize_cover(C5, cover({0: 3, 1: 6, 3: 3, 4: 2}))
 
+    def test_rejects_other_context(self):
+        with pytest.raises(GraphValidationError) as info:
+            minimize_cover(P2, cover({0: 2, 1: 5}))
+        assert info.value.reason == "bad-index"
+
     def test_output_among_enumerated(self):
         got = minimize_cover(C5, cover({0: 2, 1: 5, 3: 2}))
         assert got in enumerate_minimal_covers(C5)
@@ -239,18 +240,22 @@ class TestMinimize:
 class TestEnumerate:
     def test_distinct_weight_path(self):
         got = enumerate_minimal_covers(P2)
-        assert got == [cover({0: 2, 1: 5}), cover({0: 2, 2: 5}), cover({1: 2})]
+        assert got == [
+            cover({0: 2, 1: 5}, P2),
+            cover({0: 2, 2: 5}, P2),
+            cover({1: 2}, P2),
+        ]
 
     def test_equal_weight_path(self):
         got = enumerate_minimal_covers(P2_EQ)
-        assert got == [cover({0: 2, 2: 2}), cover({1: 2})]
+        assert got == [cover({0: 2, 2: 2}, P2_EQ), cover({1: 2}, P2_EQ)]
 
     def test_single_edge(self):
         g = path_graph([3])
-        assert enumerate_minimal_covers(g) == [cover({0: 3}), cover({1: 3})]
+        assert enumerate_minimal_covers(g) == [cover({0: 3}, g), cover({1: 3}, g)]
 
     def test_edgeless_single_empty_cover(self):
-        assert enumerate_minimal_covers(edgeless(2)) == [cover({})]
+        assert enumerate_minimal_covers(edgeless(2)) == [cover({}, edgeless(2))]
 
     def test_all_results_are_minimal_covers(self):
         for c in enumerate_minimal_covers(C5):
@@ -329,7 +334,7 @@ class TestUnmixed:
     def test_path_mixed(self):
         res = is_unmixed(P2)
         assert not res.unmixed
-        cards = sorted(c.cardinality for c in res.witnesses)
+        cards = sorted(c.m_height for c in res.witnesses)
         assert cards == [1, 2]
 
     def test_four_cycle_mixed(self):
@@ -426,16 +431,8 @@ class TestBuilders:
 
 
 class TestCoverValue:
-    def test_format(self):
-        c = cover({0: 2, 1: 5})
-        assert c.format(("v1", "v2", "v3")) == "{v1^2, v2^5}"
-
-    def test_empty_format(self):
-        assert cover({}).format(()) == "{}"
-
     def test_support_cardinality(self):
         c = cover({3: 1, 0: 2})
         assert c.support == (0, 3)
-        assert c.cardinality == 2
-        assert c.weight(3) == 1
-        assert c.weight(1) is None
+        assert c.m_height == 2
+        assert c.powers_dict() == {0: 2, 3: 1}

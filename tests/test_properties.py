@@ -11,12 +11,10 @@ import itertools
 
 from hypothesis import assume, given, settings, strategies as st
 
-from graphideals.decompose import split_decompose
+from graphideals.decompose import IrreducibleComponent, split_decompose
 from graphideals.graphs import (
-    WeightedCover,
     WeightedGraph,
     cover_decomposition,
-    cover_ideal,
     cover_leq,
     edge_ideal,
     enumerate_minimal_covers,
@@ -215,15 +213,13 @@ class TestCoverOrder:
             st.integers(1, max_w),
             max_size=graph.vertex_count,
         )
-        c1 = WeightedCover.from_dict(data.draw(entry))
-        c2 = WeightedCover.from_dict(data.draw(entry))
+        c1 = IrreducibleComponent(ctx, tuple(data.draw(entry).items()))
+        c2 = IrreducibleComponent(ctx, tuple(data.draw(entry).items()))
         lhs = cover_leq(c2, c1)
-        rhs = ideal_leq(
-            cover_ideal(c2, ctx).ideal(), cover_ideal(c1, ctx).ideal()
-        )
+        rhs = ideal_leq(c2.ideal(), c1.ideal())
         # the zero ideal of the empty cover is inside everything, but the
         # empty cover is only below itself; skip that corner
-        if not c2.entries:
+        if not c2.powers:
             return
         assert lhs == rhs
 
@@ -239,9 +235,9 @@ class TestCoverOrder:
                 max_size=graph.vertex_count,
             )
         )
-        c = WeightedCover.from_dict(entries)
+        c = IrreducibleComponent(ctx, tuple(entries.items()))
         lhs = is_weighted_cover(graph, c)
-        rhs = ideal_leq(weighted_edge_ideal(graph), cover_ideal(c, ctx).ideal())
+        rhs = ideal_leq(weighted_edge_ideal(graph), c.ideal())
         assert lhs == rhs
 
 
@@ -287,7 +283,7 @@ class TestMinimization:
         covers = enumerate_minimal_covers(graph)
         seed = data.draw(st.sampled_from(covers))
         # inflate with one extra vertex, then re-minimize
-        entries = seed.as_dict()
+        entries = seed.powers_dict()
         outside = [
             v
             for v in range(graph.vertex_count)
@@ -296,7 +292,7 @@ class TestMinimization:
         if outside:
             v = data.draw(st.sampled_from(outside))
             entries[v] = min(graph.incident_weights(v))
-        fat = WeightedCover.from_dict(entries)
+        fat = IrreducibleComponent(graph.context, tuple(entries.items()))
         assume(is_weighted_cover(graph, fat))
         got = minimize_cover(graph, fat)
         assert is_weighted_cover(graph, got)
@@ -308,8 +304,9 @@ class TestMinimization:
     def test_unweighted_covers_lift(self, graph):
         weighted = {c.support for c in enumerate_minimal_covers(graph)}
         for support in minimal_vertex_covers(graph):
-            lift = WeightedCover.from_dict(
-                {v: min(graph.incident_weights(v)) for v in support}
+            lift = IrreducibleComponent(
+                graph.context,
+                tuple((v, min(graph.incident_weights(v))) for v in support),
             )
             assert is_weighted_cover(graph, lift)
             minimal = minimize_cover(graph, lift)
