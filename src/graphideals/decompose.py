@@ -18,9 +18,9 @@ from dataclasses import dataclass
 from . import kernels
 from .monomials import (
     ContextMismatchError,
-    Monomial,
     MonomialIdeal,
     VariableContext,
+    intersect,
 )
 
 DEFAULT_COMPONENT_CAP = 100_000
@@ -81,12 +81,12 @@ class IrreducibleComponent:
         return dict(self.powers)
 
     def ideal(self) -> MonomialIdeal:
-        gens = []
+        rows = []
         for i, e in self.powers:
-            exps = [0] * self.context.dimension
-            exps[i] = e
-            gens.append(Monomial(self.context, tuple(exps)))
-        return MonomialIdeal(self.context, tuple(gens))
+            row = [0] * self.context.dimension
+            row[i] = e
+            rows.append(row)
+        return MonomialIdeal(self.context, rows)
 
     def contains(self, other: "IrreducibleComponent") -> bool:
         """other's ideal is contained in this one.
@@ -142,11 +142,13 @@ def _prune_powers(items):
 
 @dataclass(frozen=True)
 class Decomposition:
-    """A list of irreducible components in canonical order."""
+    """A list of irreducible components in canonical order.
+
+    Both routes and :func:`irredundantize` build it irredundant.
+    """
 
     context: VariableContext
     components: tuple[IrreducibleComponent, ...]
-    irredundant: bool
 
     def __post_init__(self):
         for c in self.components:
@@ -161,9 +163,7 @@ class Decomposition:
         """Intersect all components; recovers the decomposed ideal."""
         result = MonomialIdeal.unit(self.context)
         for c in self.components:
-            result = MonomialIdeal.from_exponents(
-                self.context, kernels.intersect_rows(result.rows, c.ideal().rows)
-            )
+            result = intersect(result, c.ideal())
         return result
 
     def support_sizes(self) -> tuple[int, ...]:
@@ -222,7 +222,7 @@ def split_decompose(
 
     powers_list = rec(ideal.rows)
     components = tuple(IrreducibleComponent(context, p) for p in powers_list)
-    return Decomposition(context, components, irredundant=True)
+    return Decomposition(context, components)
 
 
 def irredundantize(components) -> Decomposition:
@@ -241,9 +241,7 @@ def irredundantize(components) -> Decomposition:
             raise ContextMismatchError("components use different contexts")
     pruned = _prune_powers(tuple(c.powers for c in components))
     return Decomposition(
-        context,
-        tuple(IrreducibleComponent(context, p) for p in pruned),
-        irredundant=True,
+        context, tuple(IrreducibleComponent(context, p) for p in pruned)
     )
 
 

@@ -206,7 +206,7 @@ def validate_graph(data) -> WeightedGraph:
         if set(item) != {"u", "v", "w"}:
             raise GraphValidationError("bad-schema", "each edge needs 'u', 'v', 'w'")
         for key in ("u", "v"):
-            if item[key] not in index:
+            if not isinstance(item[key], str) or item[key] not in index:
                 raise GraphValidationError(
                     "bad-name", f"edge endpoint {item[key]!r} is not a vertex"
                 )
@@ -223,7 +223,7 @@ def edge_ideal(graph: WeightedGraph) -> MonomialIdeal:
         vec[e.u] = 1
         vec[e.v] = 1
         rows.append(tuple(vec))
-    return MonomialIdeal.from_exponents(graph.context, rows)
+    return MonomialIdeal(graph.context, rows)
 
 
 def weighted_edge_ideal(graph: WeightedGraph) -> MonomialIdeal:
@@ -235,7 +235,7 @@ def weighted_edge_ideal(graph: WeightedGraph) -> MonomialIdeal:
         vec[e.u] = e.w
         vec[e.v] = e.w
         rows.append(tuple(vec))
-    return MonomialIdeal.from_exponents(graph.context, rows)
+    return MonomialIdeal(graph.context, rows)
 
 
 def _covers(graph: WeightedGraph, entries: Mapping[int, int]) -> bool:
@@ -457,7 +457,7 @@ def cover_decomposition(
     ``max_components`` components.
     """
     covers = enumerate_minimal_covers(graph, max_components)
-    return Decomposition(graph.context, tuple(covers), irredundant=True)
+    return Decomposition(graph.context, tuple(covers))
 
 
 @dataclass(frozen=True)

@@ -3,12 +3,12 @@
 A :class:`VariableContext` fixes the ambient polynomial ring: an ordered
 tuple of distinct variable names (coefficients never enter any computation
 here, so no base ring is represented).  A :class:`Monomial` is a dense
-exponent vector over one context, and a :class:`MonomialIdeal` stores its
-unique minimal generating set in graded-lexicographic order; construction
-canonicalizes, so structural equality is ideal equality.
+exponent vector over one context, and a :class:`MonomialIdeal` stores the
+exponent rows of its unique minimal generating set in graded-lexicographic
+order; construction canonicalizes, so structural equality is ideal equality.
 
 Conventions: the zero ideal is the empty generator list, the unit ideal is
-generated by the monomial 1.
+generated by the monomial 1 (the zero row).
 """
 
 from __future__ import annotations
@@ -28,6 +28,20 @@ def _same_context(a, b):
         raise ContextMismatchError(
             f"operands use different variable contexts: {a.context.names} vs {b.context.names}"
         )
+
+
+def _exponent_row(exps, dimension: int) -> tuple[int, ...]:
+    """exps as a tuple, checked to be ``dimension`` nonnegative ints."""
+    try:
+        row = tuple(exps)
+    except TypeError:
+        raise ValueError(f"an exponent row must be a sequence, got {exps!r}") from None
+    if len(row) != dimension:
+        raise ValueError(f"expected {dimension} exponents, got {len(row)}")
+    for e in row:
+        if isinstance(e, bool) or not isinstance(e, int) or e < 0:
+            raise ValueError("exponents must be nonnegative integers")
+    return row
 
 
 @dataclass(frozen=True)
@@ -85,15 +99,9 @@ class Monomial:
     exponents: tuple[int, ...]
 
     def __post_init__(self):
-        exps = tuple(self.exponents)
-        object.__setattr__(self, "exponents", exps)
-        if len(exps) != self.context.dimension:
-            raise ValueError(
-                f"expected {self.context.dimension} exponents, got {len(exps)}"
-            )
-        for e in exps:
-            if isinstance(e, bool) or not isinstance(e, int) or e < 0:
-                raise ValueError("exponents must be nonnegative integers")
+        object.__setattr__(
+            self, "exponents", _exponent_row(self.exponents, self.context.dimension)
+        )
 
     @property
     def degree(self) -> int:
@@ -125,33 +133,20 @@ class Monomial:
 
 @dataclass(frozen=True)
 class MonomialIdeal:
-    """A monomial ideal held as its canonical minimal generating set.
+    """A monomial ideal held as its canonical minimal generator rows.
 
-    Any generators may be passed in; construction deduplicates, removes
-    divisible generators and sorts graded-lexicographically.  The zero
-    ideal has no generators, the unit ideal exactly the generator 1.
+    Any exponent rows may be passed in; construction validates each one,
+    deduplicates, removes divisible rows and sorts graded-lexicographically.
+    The zero ideal has no rows, the unit ideal exactly the zero row.
     """
 
     context: VariableContext
-    generators: tuple[Monomial, ...]
+    rows: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        for g in self.generators:
-            if g.context != self.context:
-                raise ContextMismatchError(
-                    "all generators must share the ideal's context"
-                )
-        rows = tuple(kernels.minimalize([g.exponents for g in self.generators]))
-        object.__setattr__(
-            self, "generators", tuple(Monomial(self.context, r) for r in rows)
-        )
-        object.__setattr__(self, "_rows", rows)
-
-    @classmethod
-    def from_exponents(
-        cls, context: VariableContext, rows: Iterable[Iterable[int]]
-    ) -> "MonomialIdeal":
-        return cls(context, tuple(Monomial(context, tuple(r)) for r in rows))
+        d = self.context.dimension
+        rows = [_exponent_row(r, d) for r in self.rows]
+        object.__setattr__(self, "rows", tuple(kernels.minimalize(rows)))
 
     @classmethod
     def zero(cls, context: VariableContext) -> "MonomialIdeal":
@@ -159,20 +154,20 @@ class MonomialIdeal:
 
     @classmethod
     def unit(cls, context: VariableContext) -> "MonomialIdeal":
-        return cls(context, (context.one(),))
+        return cls(context, ((0,) * context.dimension,))
 
     @property
-    def rows(self) -> tuple[tuple[int, ...], ...]:
-        """Generator exponent vectors in canonical order."""
-        return self._rows
+    def generators(self) -> tuple[Monomial, ...]:
+        """The minimal generators as monomials, built on each access."""
+        return tuple(Monomial(self.context, r) for r in self.rows)
 
     @property
     def is_zero(self) -> bool:
-        return not self._rows
+        return not self.rows
 
     @property
     def is_unit(self) -> bool:
-        return len(self._rows) == 1 and not any(self._rows[0])
+        return len(self.rows) == 1 and not any(self.rows[0])
 
     def __str__(self) -> str:
         if self.is_zero:
@@ -196,7 +191,12 @@ def minimal_generators(
     context: VariableContext, generators: Iterable[Monomial]
 ) -> MonomialIdeal:
     """Canonicalize a generator list into an ideal."""
-    return MonomialIdeal(context, tuple(generators))
+    rows = []
+    for g in generators:
+        if g.context != context:
+            raise ContextMismatchError("all generators must share the ideal's context")
+        rows.append(g.exponents)
+    return MonomialIdeal(context, rows)
 
 
 def member(ideal: MonomialIdeal, m: Monomial) -> bool:
@@ -224,15 +224,13 @@ def ideal_eq(a: MonomialIdeal, b: MonomialIdeal) -> bool:
 def intersect(a: MonomialIdeal, b: MonomialIdeal) -> MonomialIdeal:
     """Intersection, generated by pairwise lcms of the generators."""
     _same_context(a, b)
-    return MonomialIdeal.from_exponents(
-        a.context, kernels.intersect_rows(a.rows, b.rows)
-    )
+    return MonomialIdeal(a.context, kernels.intersect_rows(a.rows, b.rows))
 
 
 def m_radical(ideal: MonomialIdeal) -> MonomialIdeal:
     """Monomial radical: flatten every positive exponent to 1."""
     rows = [tuple(1 if e > 0 else 0 for e in r) for r in ideal.rows]
-    return MonomialIdeal.from_exponents(ideal.context, rows)
+    return MonomialIdeal(ideal.context, rows)
 
 
 def bracket_power(ideal: MonomialIdeal, a: int) -> MonomialIdeal:
@@ -240,7 +238,7 @@ def bracket_power(ideal: MonomialIdeal, a: int) -> MonomialIdeal:
     if not isinstance(a, int) or a < 1:
         raise ValueError("bracket power exponent must be a positive integer")
     rows = [tuple(e * a for e in r) for r in ideal.rows]
-    return MonomialIdeal.from_exponents(ideal.context, rows)
+    return MonomialIdeal(ideal.context, rows)
 
 
 def is_m_irreducible(ideal: MonomialIdeal) -> bool:
@@ -291,7 +289,7 @@ def polarize(
             for j in range(e):
                 vec[offset[i] + j] = 1
         polar_rows.append(tuple(vec))
-    return polar_context, MonomialIdeal.from_exponents(polar_context, polar_rows), origin
+    return polar_context, MonomialIdeal(polar_context, polar_rows), origin
 
 
 def depolarize(
@@ -307,4 +305,4 @@ def depolarize(
             if e:
                 vec[origin[j]] += e
         rows.append(tuple(vec))
-    return MonomialIdeal.from_exponents(context, rows)
+    return MonomialIdeal(context, rows)

@@ -19,7 +19,6 @@ from .graphs import (
     WeightedGraph,
     cover_decomposition,
     cover_leq,
-    enumerate_minimal_covers,
     edge_ideal,
     is_unmixed,
     is_weighted_cover,
@@ -96,8 +95,8 @@ def check_graph(graph: WeightedGraph, rng: random.Random | None = None):
     results = []
     ideal = weighted_edge_ideal(graph)
     plain = edge_ideal(graph)
-    covers = enumerate_minimal_covers(graph)
     by_covers = cover_decomposition(graph)
+    covers = list(by_covers.components)
     by_split = split_decompose(ideal)
 
     agree = by_covers.components == by_split.components
@@ -136,14 +135,14 @@ def check_graph(graph: WeightedGraph, rng: random.Random | None = None):
 
     context = graph.context
     pool = covers + _mutated_covers(graph, covers, rng, 6)
+    pool_ideals = [c.ideal() for c in pool]
     cases = 0
     ok = True
     detail = ""
-    for c1, c2 in itertools.product(pool, repeat=2):
+    pairs = zip(pool, pool_ideals)
+    for (c1, i1), (c2, i2) in itertools.product(pairs, repeat=2):
         cases += 1
-        expected = cover_leq(c1, c2)
-        got = ideal_leq(c1.ideal(), c2.ideal())
-        if expected != got:
+        if cover_leq(c1, c2) != ideal_leq(i1, i2):
             ok = False
             detail = f"cover order vs ideal order differ on {c1} vs {c2}"
             break
@@ -151,9 +150,8 @@ def check_graph(graph: WeightedGraph, rng: random.Random | None = None):
 
     ok = True
     detail = ""
-    for c in pool:
-        contained = ideal_leq(ideal, c.ideal())
-        if is_weighted_cover(graph, c) != contained:
+    for c, c_ideal in zip(pool, pool_ideals):
+        if is_weighted_cover(graph, c) != ideal_leq(ideal, c_ideal):
             ok = False
             detail = f"cover predicate vs containment differ on {c}"
             break
@@ -161,12 +159,10 @@ def check_graph(graph: WeightedGraph, rng: random.Random | None = None):
         CheckResult("cover-predicate-matches-containment", ok, len(pool), detail)
     )
 
+    unmixed = is_unmixed(graph).unmixed
     results.append(
         CheckResult(
-            "unmixedness-routes-agree",
-            is_unmixed(graph).unmixed == is_m_unmixed_ideal(ideal),
-            1,
-            "",
+            "unmixedness-routes-agree", unmixed == is_m_unmixed_ideal(ideal), 1, ""
         )
     )
 
@@ -222,12 +218,7 @@ def check_graph(graph: WeightedGraph, rng: random.Random | None = None):
     plain_cards = {len(s) for s in plain_covers}
     if len(plain_cards) > 1:
         results.append(
-            CheckResult(
-                "unweighted-mixedness-persists",
-                not is_unmixed(graph).unmixed,
-                1,
-                "",
-            )
+            CheckResult("unweighted-mixedness-persists", not unmixed, 1, "")
         )
     return results
 

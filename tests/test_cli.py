@@ -141,7 +141,7 @@ class TestDecomposeCommand:
         from graphideals.decompose import Decomposition
 
         def broken(ideal, max_components=None):
-            return Decomposition(ideal.context, (), True)
+            return Decomposition(ideal.context, ())
 
         monkeypatch.setattr(cli, "split_decompose", broken)
         code, out, err = invoke(["decompose", p2, "--check"])
@@ -366,7 +366,7 @@ class TestVerifyCommand:
         from graphideals import verify as verify_mod
 
         def broken(ideal, max_components=None):
-            return Decomposition(ideal.context, (), True)
+            return Decomposition(ideal.context, ())
 
         monkeypatch.setattr(verify_mod, "split_decompose", broken)
         code, _, err = invoke(["verify", c5])
@@ -385,6 +385,25 @@ class TestErrorDiscipline:
         path.write_text("{not json")
         code, _, _ = invoke(["ideal", str(path)])
         assert code == 1
+
+    def test_non_utf8_file_is_parse_error(self, tmp_path):
+        path = tmp_path / "latin1.json"
+        path.write_bytes(b'{"vertices": ["\xe9"], "edges": []}')
+        code, out, err = invoke(["ideal", str(path)])
+        assert (code, out) == (1, "")
+        assert err.startswith("error: cannot read ")
+        assert err.count("\n") == 1
+
+    def test_deeply_nested_json_is_parse_error(self):
+        code, out, err = invoke(["ideal", "-"], stdin="[" * 100000)
+        assert (code, out) == (1, "")
+        assert err == "error: invalid JSON in -: nested too deeply\n"
+
+    def test_non_string_endpoint_is_validation_error(self):
+        doc = {"vertices": ["a", "b"], "edges": [{"u": ["a"], "v": "b", "w": 1}]}
+        code, out, err = invoke(["ideal", "-"], stdin=json.dumps(doc))
+        assert (code, out) == (2, "")
+        assert err == "error: invalid graph: edge endpoint ['a'] is not a vertex\n"
 
     def test_invalid_graph_is_validation_error(self, tmp_path):
         path = tmp_path / "loop.json"

@@ -26,7 +26,7 @@ X5 = VariableContext.of_dimension(5)
 
 
 def ideal(ctx, *rows):
-    return MonomialIdeal.from_exponents(ctx, rows)
+    return MonomialIdeal(ctx, rows)
 
 
 def comp(ctx, powers):
@@ -94,7 +94,6 @@ class TestSplitDecompose:
             "(X1^2, X3^5)",
             "(X2^2)",
         ]
-        assert D.irredundant
         assert ideal_eq(D.intersection(), I)
 
     def test_equal_weight_path_prunes_to_two(self):
@@ -145,7 +144,7 @@ class TestSplitDecompose:
                 tuple(rng.randint(0, 4) for _ in range(d))
                 for _ in range(rng.randint(1, 5))
             ]
-            I = MonomialIdeal.from_exponents(ctx, rows)
+            I = MonomialIdeal(ctx, rows)
             if I.is_unit:
                 continue
             D = split_decompose(I)
@@ -158,7 +157,6 @@ class TestIrredundantize:
         drop = comp(X5, {0: 2, 1: 5, 3: 3, 4: 2})
         D = irredundantize([drop, keep])
         assert list(D.components) == [keep]
-        assert D.irredundant
 
     def test_fixed_point(self):
         comps = [comp(X3, {0: 2, 1: 5}), comp(X3, {1: 2, 2: 1})]
@@ -201,7 +199,7 @@ class TestHeightAndUnmixed:
 
     def test_empty_decomposition_rejected(self):
         with pytest.raises(ValueError):
-            m_height_of(Decomposition(X3, (), True))
+            m_height_of(Decomposition(X3, ()))
 
     def test_triangle_unmixed(self):
         assert is_m_unmixed_ideal(ideal(X3, (1, 1, 0), (0, 2, 2), (3, 0, 3)))
@@ -221,7 +219,7 @@ class TestDecompositionValue:
     def test_components_sorted_on_construction(self):
         a = comp(X3, {1: 2})
         b = comp(X3, {0: 2, 1: 5})
-        D = Decomposition(X3, (a, b), True)
+        D = Decomposition(X3, (a, b))
         assert D.components == (b, a)
 
     def test_support_sizes(self):

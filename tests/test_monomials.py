@@ -1,5 +1,7 @@
 """Golden tests for exponent-vector monomials and monomial ideal arithmetic."""
 
+import dataclasses
+
 import pytest
 
 from graphideals.monomials import (
@@ -26,7 +28,7 @@ X2 = VariableContext.of_dimension(2)
 
 
 def ideal(ctx, *rows):
-    return MonomialIdeal.from_exponents(ctx, rows)
+    return MonomialIdeal(ctx, rows)
 
 
 class TestContext:
@@ -105,6 +107,29 @@ class TestLcm:
     def test_lcm_idempotent(self):
         m = X3.monomial((1, 2, 3))
         assert lcm_monomial(m, m) == m
+
+
+class TestIdealRows:
+    def test_fields_are_context_and_rows(self):
+        names = [f.name for f in dataclasses.fields(MonomialIdeal)]
+        assert names == ["context", "rows"]
+
+    def test_generators_derived_from_rows(self):
+        I = ideal(X2, (0, 5), (2, 0), (3, 1))
+        assert I.rows == ((2, 0), (0, 5))
+        assert I.generators == (X2.monomial((2, 0)), X2.monomial((0, 5)))
+
+    def test_unit_is_the_zero_row(self):
+        assert MonomialIdeal.unit(X3).rows == ((0, 0, 0),)
+
+    @pytest.mark.parametrize(
+        "row",
+        [(1, 2), (1, -1, 0), (True, 0, 0), (1.0, 0, 0), "abc", 7, X3.one()],
+        ids=["short", "negative", "bool", "float", "string", "int", "monomial"],
+    )
+    def test_rejects_non_rows(self, row):
+        with pytest.raises(ValueError):
+            MonomialIdeal(X3, [row])
 
 
 class TestMinimalGenerators:
@@ -229,7 +254,7 @@ class TestBracketPower:
 class TestIrreducibility:
     def test_pure_powers_distinct_vars(self):
         ctx = VariableContext.of_dimension(5)
-        I = MonomialIdeal.from_exponents(
+        I = MonomialIdeal(
             ctx, [(2, 0, 0, 0, 0), (0, 5, 0, 0, 0), (0, 0, 0, 3, 0)]
         )
         assert is_m_irreducible(I)

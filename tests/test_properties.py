@@ -55,8 +55,8 @@ def ideal_pair(draw, **kw):
     ctx, rows1, rows2 = draw(context_and_rows(lists=2, **kw))
     return (
         ctx,
-        MonomialIdeal.from_exponents(ctx, rows1),
-        MonomialIdeal.from_exponents(ctx, rows2),
+        MonomialIdeal(ctx, rows1),
+        MonomialIdeal(ctx, rows2),
     )
 
 
@@ -64,7 +64,7 @@ def ideal_pair(draw, **kw):
 def ideal_and_monomial(draw, max_exp=6):
     ctx, rows, single = draw(context_and_rows(max_exp=max_exp, lists=2))
     assume(single)
-    return ctx, MonomialIdeal.from_exponents(ctx, rows), ctx.monomial(single[0])
+    return ctx, MonomialIdeal(ctx, rows), ctx.monomial(single[0])
 
 
 @st.composite
@@ -74,7 +74,7 @@ def ideal_and_member(draw, max_exp=4):
     assume(rows and extra)
     g = draw(st.sampled_from(rows))
     m = tuple(a + b for a, b in zip(g, extra[0]))
-    return ctx, MonomialIdeal.from_exponents(ctx, rows), ctx.monomial(m)
+    return ctx, MonomialIdeal(ctx, rows), ctx.monomial(m)
 
 
 @st.composite
@@ -99,8 +99,8 @@ class TestCanonicalForms:
     @given(context_and_rows())
     def test_canonicalization_idempotent(self, drawn):
         ctx, rows = drawn
-        once = MonomialIdeal.from_exponents(ctx, rows)
-        twice = MonomialIdeal.from_exponents(ctx, once.rows)
+        once = MonomialIdeal(ctx, rows)
+        twice = MonomialIdeal(ctx, once.rows)
         assert once.rows == twice.rows
 
     @given(ideal_pair())
@@ -111,7 +111,7 @@ class TestCanonicalForms:
     @given(context_and_rows())
     def test_generators_are_minimal(self, drawn):
         ctx, rows = drawn
-        I = MonomialIdeal.from_exponents(ctx, rows)
+        I = MonomialIdeal(ctx, rows)
         for i, a in enumerate(I.generators):
             for j, b in enumerate(I.generators):
                 if i != j:
@@ -125,7 +125,7 @@ class TestMembership:
     def test_intersection_coherent(self, drawn):
         ctx, I, m = drawn
         rows2 = [tuple(reversed(r)) for r in I.rows]
-        J = MonomialIdeal.from_exponents(ctx, rows2)
+        J = MonomialIdeal(ctx, rows2)
         both = member(I, m) and member(J, m)
         assert member(intersect(I, J), m) == both
 
@@ -147,7 +147,7 @@ class TestRadical:
     @given(context_and_rows())
     def test_idempotent(self, drawn):
         ctx, rows = drawn
-        I = MonomialIdeal.from_exponents(ctx, rows)
+        I = MonomialIdeal(ctx, rows)
         assert ideal_eq(m_radical(m_radical(I)), m_radical(I))
 
     @given(ideal_pair())
@@ -161,7 +161,7 @@ class TestPolarization:
     @given(context_and_rows(max_exp=5))
     def test_round_trip_and_squarefree(self, drawn):
         ctx, rows = drawn
-        I = MonomialIdeal.from_exponents(ctx, rows)
+        I = MonomialIdeal(ctx, rows)
         polar_ctx, polar, origin = polarize(I)
         assert all(e <= 1 for row in polar.rows for e in row)
         assert ideal_eq(depolarize(polar, origin, ctx), I)
@@ -172,7 +172,7 @@ class TestSplitDecompose:
     @settings(deadline=None)
     def test_reconstruction(self, drawn):
         ctx, rows = drawn
-        I = MonomialIdeal.from_exponents(ctx, rows)
+        I = MonomialIdeal(ctx, rows)
         assume(not I.is_unit)
         D = split_decompose(I)
         assert ideal_eq(D.intersection(), I)
@@ -181,7 +181,7 @@ class TestSplitDecompose:
     @settings(deadline=None)
     def test_components_irreducible_and_irredundant(self, drawn):
         ctx, rows = drawn
-        I = MonomialIdeal.from_exponents(ctx, rows)
+        I = MonomialIdeal(ctx, rows)
         assume(not I.is_unit)
         comps = split_decompose(I).components
         for c in comps:

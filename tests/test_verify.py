@@ -2,7 +2,9 @@
 
 import random
 
-from graphideals import verify
+import pytest
+
+from graphideals import graphs, verify
 from graphideals.graphs import cycle_graph, path_graph
 from graphideals.verify import (
     check_graph,
@@ -23,6 +25,26 @@ class TestCheckGraph:
         results = check_graph(cycle_graph([2, 5, 3, 4, 2]))
         assert all(r.passed for r in results)
 
+    @pytest.mark.parametrize(
+        "graph",
+        [cycle_graph([2, 5, 3, 4, 2]), path_graph([1, 2, 1, 2])],
+        ids=["C5", "P5-mixed"],
+    )
+    def test_cover_search_runs_at_most_twice(self, graph, monkeypatch):
+        # one weighted search for the decomposition, one inside is_unmixed,
+        # one unit-weight search for the unweighted covers
+        calls = {"weighted": 0, "unit": 0}
+        search = graphs._maximal_thresholds
+
+        def counted(adjacency, max_components):
+            calls["weighted" if adjacency is graph.adjacency else "unit"] += 1
+            return search(adjacency, max_components)
+
+        monkeypatch.setattr(graphs, "_maximal_thresholds", counted)
+        results = check_graph(graph)
+        assert all(r.passed for r in results)
+        assert calls["weighted"] <= 2 and calls["unit"] <= 1
+
     def test_uniform_weight_check_only_when_trivial(self):
         names = {r.name for r in check_graph(cycle_graph([2, 2, 2]))}
         assert "uniform-weight-power-identity" in names
@@ -33,7 +55,7 @@ class TestCheckGraph:
         from graphideals.decompose import Decomposition
 
         def broken(ideal, max_components=None):
-            return Decomposition(ideal.context, (), True)
+            return Decomposition(ideal.context, ())
 
         monkeypatch.setattr(verify, "split_decompose", broken)
         results = check_graph(path_graph([2, 5]))
