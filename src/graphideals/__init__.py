@@ -31,9 +31,7 @@ from .decompose import (
     Decomposition,
     DecompositionLimitError,
     IrreducibleComponent,
-    irredundantize,
     is_m_unmixed_ideal,
-    m_height_of,
     split_decompose,
 )
 from .graphs import (

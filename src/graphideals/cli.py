@@ -106,7 +106,7 @@ def _load_graph(path: str):
         raise CommandError("parse", f"cannot read {path}: {exc}") from exc
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an over-long integer
         raise CommandError("parse", f"invalid JSON in {path}: {exc}") from exc
     except RecursionError:
         message = f"invalid JSON in {path}: nested too deeply"
@@ -529,12 +529,28 @@ def _request_from_args(args) -> CommandRequest:
     return CommandRequest(args.command, getattr(args, "input", None), options)
 
 
+def _requested_format(argv) -> str:
+    """The --format a command line asks for, read without the full parser.
+
+    A usage error leaves no parsed namespace, yet a JSON caller still
+    needs its error report as JSON.
+    """
+    probe = _Parser(add_help=False)
+    probe.add_argument("--format", dest="fmt")
+    try:
+        known, _ = probe.parse_known_args(argv)
+    except _UsageError:
+        return "text"
+    return "json" if known.fmt == "json" else "text"
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
     except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        report = Report("error", {"error_kind": "parse"}, [str(exc)])
+        print(render(report, _requested_format(argv)), file=sys.stderr)
         return 1
     except SystemExit as exc:  # --help / --version
         return int(exc.code or 0)

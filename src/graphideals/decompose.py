@@ -144,7 +144,7 @@ def _prune_powers(items):
 class Decomposition:
     """A list of irreducible components in canonical order.
 
-    Both routes and :func:`irredundantize` build it irredundant.
+    Both routes build it irredundant.
     """
 
     context: VariableContext
@@ -223,33 +223,6 @@ def split_decompose(
     powers_list = rec(ideal.rows)
     components = tuple(IrreducibleComponent(context, p) for p in powers_list)
     return Decomposition(context, components)
-
-
-def irredundantize(components) -> Decomposition:
-    """Prune a component list down to its minimal elements.
-
-    Dropping exactly the components whose ideals contain another one's is
-    complete here: if an intersection of m-irreducible ideals lands inside
-    an m-irreducible ideal, some single factor already does.
-    """
-    components = tuple(components)
-    if not components:
-        raise ValueError("no components to prune")
-    context = components[0].context
-    for c in components:
-        if c.context != context:
-            raise ContextMismatchError("components use different contexts")
-    pruned = _prune_powers(tuple(c.powers for c in components))
-    return Decomposition(
-        context, tuple(IrreducibleComponent(context, p) for p in pruned)
-    )
-
-
-def m_height_of(decomposition: Decomposition) -> int:
-    """Smallest component support size of an irredundant decomposition."""
-    if not decomposition.components:
-        raise ValueError("empty decomposition has no m-height")
-    return min(c.m_height for c in decomposition.components)
 
 
 def is_m_unmixed_ideal(ideal: MonomialIdeal) -> bool:

@@ -10,16 +10,28 @@ order in :func:`cover_leq` (smaller covers have fewer vertices carrying
 larger weights, i.e. smaller ideals), the minimal covers are exactly the
 irredundant irreducible components of the weighted edge ideal, which is
 what :func:`cover_decomposition` returns.
+
+The minimal covers are found as the maximal independent sets of the
+*level graph* L(G).  L(G) has one node (v, a) per distinct incident
+weight a of v, read as "t(v) > a" for v's threshold t(v) (its cover
+weight, or above every weight when v is out).  It joins (u, a) and
+(v, b) when uv is an edge of weight w with a >= w and b >= w, so an
+independent set of nodes is an assignment of thresholds that leaves no
+edge uncovered.  A conflict at level a is one at every higher level, so
+a maximal independent set holds, at each vertex, every level below its
+threshold: maximal independent sets are exactly the componentwise-maximal
+feasible thresholds, which are the minimal covers.  With unit weights
+L(G) is G without its isolated vertices, and this is the classical fact
+that minimal vertex covers complement maximal independent sets.  L(G)
+has at most 2|E| nodes.
 """
 
 from __future__ import annotations
 
-import bisect
 import itertools
-import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Iterable, Mapping, NamedTuple
+from typing import Iterable, Iterator, Mapping, NamedTuple
 
 from .decompose import (
     DEFAULT_COMPONENT_CAP,
@@ -285,25 +297,20 @@ def minimize_cover(
 ) -> IrreducibleComponent:
     """Shrink a weighted cover to a minimal one below it.
 
-    Phase 1 repeatedly deletes the lowest-indexed vertex whose removal
-    still leaves a cover.  Phase 2 then raises each remaining weight, in
-    ascending vertex order, to the largest value that keeps the cover
-    property.  The result is minimal and lies below the input in the
-    cover order.
+    Phase 1 visits the vertices in ascending order once, deleting each
+    whose removal still leaves a cover; a vertex kept once stays needed,
+    since deleting more vertices never restores an edge's cover.  Phase 2
+    then raises each remaining weight, in ascending vertex order, to the
+    largest value that keeps the cover property.  The result is minimal
+    and lies below the input in the cover order.
     """
     if not is_weighted_cover(graph, cover):
         raise ValueError("input is not a weighted vertex cover of this graph")
     entries = cover.powers_dict()
-    while True:
-        removable = None
-        for v in sorted(entries):
-            trial = {u: w for u, w in entries.items() if u != v}
-            if _covers(graph, trial):
-                removable = v
-                break
-        if removable is None:
-            break
-        del entries[removable]
+    for v in sorted(entries):
+        trial = {u: w for u, w in entries.items() if u != v}
+        if _covers(graph, trial):
+            entries = trial
     for v in sorted(entries):
         cap = _max_feasible_weight(graph, entries, v)
         if cap is not None:
@@ -311,106 +318,94 @@ def minimize_cover(
     return IrreducibleComponent(graph.context, tuple(entries.items()))
 
 
-_OUT = math.inf  # threshold of a vertex outside the cover
+def _bits(mask: int):
+    """Indices of the set bits of ``mask``, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
-def _search_order(adjacency) -> list[int]:
-    """Non-isolated vertices, each component breadth-first from its
-    highest-degree vertex (lowest index on ties)."""
-    order = []
-    seen = set()
-    for root in sorted(range(len(adjacency)), key=lambda v: -len(adjacency[v])):
-        if not adjacency[root]:
-            break
-        if root in seen:
+def _level_graph(adjacency) -> tuple[list[int], list[list[int]], list[int]]:
+    """Closed neighbourhoods of the level graph L(G), as bitmasks.
+
+    Node (v, a), one per distinct incident weight a of v, reads
+    "t(v) > a"; v's nodes are numbered base[v].. in ascending level.
+    (u, a) and (v, b) are adjacent when an edge uv of weight w has
+    a >= w and b >= w, i.e. both readings leave uv uncovered.  Returns
+    the closed neighbourhoods, each vertex's sorted levels and ``base``.
+    """
+    levels = [sorted(set(row.values())) for row in adjacency]
+    rank = [{a: k for k, a in enumerate(ls)} for ls in levels]
+    base = list(itertools.accumulate(map(len, levels), initial=0))
+    closed = []
+    for v, row in enumerate(adjacency):
+        # edge uv of weight w reaches u's nodes at levels >= w, a run of bits
+        step = dict.fromkeys(levels[v], 0)
+        for u, w in row.items():
+            step[w] |= (1 << base[u + 1]) - (1 << (base[u] + rank[u][w]))
+        # N((v, a)) gathers the edges of weight <= a
+        reach = 0
+        for a in levels[v]:
+            reach |= step[a]
+            closed.append(reach | 1 << len(closed))
+    return closed, levels, base
+
+
+def _maximal_independent_sets(closed: list[int]) -> Iterator[int]:
+    """Every maximal independent set of a graph, as a bitmask of nodes.
+
+    ``closed[i]`` is node i's closed neighbourhood.  Bron-Kerbosch with
+    Tomita's pivot, run on an explicit stack of frames (chosen,
+    candidates, excluded); total time O(3^(N/3)) on N nodes (Tomita,
+    Tanaka & Takahashi, TCS 363, 2006).  A candidate with no other
+    candidate neighbour is in every maximal extension, so all such
+    candidates are chosen in one step.  An excluded node with no
+    candidate neighbour left to block it has nothing to branch on, so as
+    the pivot it cuts the frame.
+    """
+    stack = [(0, (1 << len(closed)) - 1, 0)]
+    while stack:
+        chosen, cand, done = stack.pop()
+        lone = 0
+        for u in _bits(cand):
+            if cand & closed[u] == 1 << u:
+                lone |= 1 << u
+        if lone:
+            chosen |= lone
+            cand ^= lone
+            for u in _bits(lone):
+                done &= ~closed[u]
+        if not cand | done:
+            yield chosen
             continue
-        seen.add(root)
-        order.append(root)
-        k = len(order) - 1
-        while k < len(order):
-            for u in adjacency[order[k]]:
-                if u not in seen:
-                    seen.add(u)
-                    order.append(u)
-            k += 1
-    return order
-
-
-def _can_rise(row, t, x) -> bool:
-    # a vertex at threshold x < out can step up to its next incident weight
-    # unless some edge of weight exactly x has no other endpoint covering it
-    return x is not _OUT and all(t[u] <= x for u, w in row.items() if w == x)
+        pivot = min(_bits(cand | done), key=lambda u: (cand & closed[u]).bit_count())
+        for v in _bits(cand & closed[pivot]):
+            stack.append((chosen | 1 << v, cand & ~closed[v], done & ~closed[v]))
+            cand ^= 1 << v
+            done |= 1 << v
 
 
 def _maximal_thresholds(adjacency, max_components: int) -> list[tuple]:
     """Entries of every minimal cover of the graph with this adjacency.
 
-    Depth-first over the vertices of :func:`_search_order` with an
-    explicit stack, so deep graphs need no recursion.  ``t[v]`` is the
-    vertex's threshold, ``cap[v]`` the bound that decided neighbours put
-    on it.  See :func:`enumerate_minimal_covers` for why every leaf is a
-    distinct minimal cover.
+    Each maximal independent set S of the level graph decodes to one
+    minimal cover: t(v) is the smallest level of v with (v, t(v)) not in
+    S, and v is out of the cover when all its levels are in S.
     """
-    order = _search_order(adjacency)
-    n = len(order)
-    d = len(adjacency)
-    pos = [n] * d
-    for i, v in enumerate(order):
-        pos[v] = i
-    values = [sorted(set(adjacency[v].values())) + [_OUT] for v in order]
-    # settled[i]: vertices whose closed neighbourhood is decided at depth i
-    settled = [[] for _ in range(n)]
-    for v in order:
-        settled[max(pos[v], *(pos[u] for u in adjacency[v]))].append(v)
-    columns = sorted(order)
-    t = [_OUT] * d
-    cap = [_OUT] * d
-    options = [()] * n
-    tried = [0] * n
-    undo = [()] * n
-    if n:
-        options[0] = values[0]
+    closed, levels, base = _level_graph(adjacency)
     found = []
-    depth = 0
-    while depth >= 0:
-        if depth == n:
-            found.append(tuple((v, t[v]) for v in columns if t[v] is not _OUT))
-            if len(found) > max_components:
-                raise DecompositionLimitError(
-                    f"cover enumeration exceeded {max_components} components"
-                )
-            depth -= 1
-            continue
-        for u, old in undo[depth]:
-            cap[u] = old
-        undo[depth] = ()
-        k = tried[depth]
-        if k == len(options[depth]):
-            depth -= 1
-            continue
-        tried[depth] = k + 1
-        v = order[depth]
-        x = t[v] = options[depth][k]
-        row = adjacency[v]
-        # x < out needs an edge of weight x whose other end can stay above x
-        if x is not _OUT and not any(
-            w == x and (cap[u] if pos[u] > depth else t[u]) > x
-            for u, w in row.items()
-        ):
-            continue
-        changed = []
-        for u, w in row.items():
-            if x > w and pos[u] > depth and cap[u] > w:
-                changed.append((u, cap[u]))
-                cap[u] = w
-        undo[depth] = changed
-        if any(_can_rise(adjacency[y], t, t[y]) for y in settled[depth]):
-            continue
-        depth += 1
-        if depth < n:
-            ladder = values[depth]
-            options[depth] = ladder[: bisect.bisect_right(ladder, cap[order[depth]])]
-            tried[depth] = 0
+    for chosen in _maximal_independent_sets(closed):
+        if len(found) == max_components:
+            raise DecompositionLimitError(
+                f"cover enumeration exceeded {max_components} components"
+            )
+        entries = []
+        for v, ls in enumerate(levels):
+            k = ((chosen >> base[v]) & ((1 << len(ls)) - 1)).bit_count()
+            if k < len(ls):
+                entries.append((v, ls[k]))
+        found.append(tuple(entries))
     return sorted(found)
 
 
@@ -419,25 +414,13 @@ def enumerate_minimal_covers(
 ) -> list[IrreducibleComponent]:
     """All minimal weighted vertex covers, canonically ordered.
 
-    Give each vertex a threshold t(v): one of its incident edge weights
-    (its weight in the cover) or "out" (above every weight).  An
-    assignment is a cover exactly when min(t(u), t(v)) <= w on every edge
-    uv of weight w, and the cover order is the reverse componentwise
-    order on t, so the minimal covers are the componentwise-maximal
-    feasible assignments.  Feasibility is closed downwards, so an
-    assignment is maximal exactly when no single vertex can step up to
-    its next value.
-
-    A depth-first search decides the vertices in breadth-first order,
-    branching on every value at most the vertex's current cap.  Choosing
-    t(v) > w caps each undecided neighbour across an edge of weight w at
-    w, so every leaf is a cover.  A branch is cut as soon as a vertex whose
-    neighbours are all decided could step up, so every leaf is a distinct
-    minimal cover and no minimality sweep follows.  A vertex that takes
-    weight x must be the only cover of some edge of weight x, so a branch
-    is also cut as soon as every such edge has its other end decided or
-    capped at or below x.  The search never lists vertex subsets, but
-    nothing bounds the work between two leaves.
+    One cover per maximal independent set of the level graph L(G) (see
+    the module docstring).  The sets come from a pivoted Bron-Kerbosch
+    search, whose total time is O(3^(N/3)) on the N <= 2|E| nodes of
+    L(G) (Tomita, Tanaka & Takahashi, TCS 363, 2006); no bound on the
+    work between two consecutive covers is claimed, so the component
+    cap bounds the output, not the time.  Every set found is a distinct
+    minimal cover, so no minimality sweep follows.
     Raises DecompositionLimitError past ``max_components`` covers.
     """
     context = graph.context
@@ -486,8 +469,9 @@ def minimal_vertex_covers(graph: WeightedGraph) -> list[tuple[int, ...]]:
     """Inclusion-minimal unweighted vertex covers, sorted.
 
     The search of :func:`enumerate_minimal_covers` on the same graph with
-    every weight set to 1, where a minimal weighted cover is a minimal
-    vertex cover with weight 1 on each vertex.
+    every weight set to 1, where L(G) is G less its isolated vertices and
+    a minimal weighted cover is a minimal vertex cover with weight 1 on
+    each vertex.
     """
     unit = tuple(dict.fromkeys(row, 1) for row in graph.adjacency)
     return [

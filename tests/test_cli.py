@@ -399,6 +399,12 @@ class TestErrorDiscipline:
         assert (code, out) == (1, "")
         assert err == "error: invalid JSON in -: nested too deeply\n"
 
+    def test_overlong_json_integer_is_parse_error(self):
+        code, out, err = invoke(["ideal", "-"], stdin="[" + "1" * 5000 + "]")
+        assert (code, out) == (1, "")
+        assert err.startswith("error: invalid JSON in -: ")
+        assert err.count("\n") == 1
+
     def test_non_string_endpoint_is_validation_error(self):
         doc = {"vertices": ["a", "b"], "edges": [{"u": ["a"], "v": "b", "w": 1}]}
         code, out, err = invoke(["ideal", "-"], stdin=json.dumps(doc))
@@ -453,6 +459,16 @@ class TestErrorDiscipline:
         code, _, err = invoke(["decompose", p2, "--max-components", "x"])
         assert code == 1
         assert err == "error: argument --max-components: invalid int value: 'x'\n"
+
+    def test_usage_error_is_json_in_json_mode(self, p2):
+        argv = ["decompose", p2, "--max-components", "x", "--format", "json"]
+        code, out, err = invoke(argv)
+        assert (code, out) == (1, "")
+        assert json.loads(err) == {
+            "status": "error",
+            "payload": {"error_kind": "parse"},
+            "diagnostics": ["argument --max-components: invalid int value: 'x'"],
+        }
 
     def test_oversized_unit_error(self, tmp_path):
         # decomposing needs at least the zero ideal; an empty vertex list

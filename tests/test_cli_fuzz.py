@@ -1,9 +1,12 @@
-"""Fuzz gate: no stdin document makes the CLI raise or leave exit codes 0-3.
+"""Fuzz gate: no stdin document or option value makes the CLI raise or
+leave exit codes 0-3.
 
 Arbitrary JSON values (and raw bytes) and near-miss graph documents are
-fed through ``cli.main`` for the commands that reach every layer.  Each
-run must return an exit code from 0 to 3.  Exit 1 or 2 must print a single
-``error:`` line in text mode, and any failure an error report in JSON mode.
+fed through ``cli.main`` for the commands that reach every layer, and
+near-miss documents also under every command's options with values drawn
+from their valid choices or arbitrary short text.  Each run must return
+an exit code from 0 to 3.  Exit 1 or 2 must print a single ``error:``
+line in text mode, and any failure an error report in JSON mode.
 """
 
 import contextlib
@@ -66,6 +69,44 @@ def near_miss_documents(draw):
     return doc
 
 
+short_text = st.text(max_size=8)
+cover_texts = st.lists(
+    st.tuples(st.sampled_from(NAMES) | short_text, st.integers(-1, 5) | short_text),
+    max_size=3,
+).map(lambda pairs: ",".join(f"{name}:{weight}" for name, weight in pairs))
+FAMILIES = ("auto", "cycle", "complete", "path", "tree", "suspension")
+
+
+@st.composite
+def command_lines(draw):
+    """A command and its options, each value valid or arbitrary text."""
+    command = draw(
+        st.sampled_from(
+            ("ideal", "covers", "decompose", "classify", "primes", "minimize", "verify")
+        )
+    )
+    argv = [command]
+    if command == "decompose":
+        method = draw(st.sampled_from(("covers", "split")) | short_text)
+        argv.append(f"--method={method}")
+        if draw(st.booleans()):
+            argv.append("--check")
+        if draw(st.booleans()):
+            cap = draw(st.integers() | short_text)
+            argv.append(f"--max-components={cap}")
+    elif command == "classify":
+        argv.append(f"--family={draw(st.sampled_from(FAMILIES) | short_text)}")
+    elif command == "primes":
+        flags = st.sampled_from(("--minimal", "--assoc"))
+        argv += draw(st.lists(flags, max_size=2))
+    elif command == "minimize":
+        argv.append(f"--cover={draw(cover_texts | short_text)}")
+    elif command == "verify":
+        argv.append(f"--random={draw(st.integers(0, 3))}")
+        argv.append(f"--max-vertices={draw(st.integers(max_value=5))}")
+    return tuple(argv)
+
+
 def run_stdin(argv, data: bytes):
     out, err = io.StringIO(), io.StringIO()
     old = sys.stdin
@@ -109,4 +150,10 @@ def test_arbitrary_json_exits_cleanly(data, command, fmt):
 @settings(deadline=None)
 @given(doc=near_miss_documents(), command=commands, fmt=formats)
 def test_near_miss_graphs_exit_cleanly(doc, command, fmt):
+    check_clean_exit(command, fmt, json.dumps(doc).encode())
+
+
+@settings(deadline=None)
+@given(doc=near_miss_documents(), command=command_lines(), fmt=formats)
+def test_drawn_options_exit_cleanly(doc, command, fmt):
     check_clean_exit(command, fmt, json.dumps(doc).encode())

@@ -1,4 +1,4 @@
-"""The branching cover search against definitional brute-force oracles.
+"""The level-graph cover search against definitional brute-force oracles.
 
 The oracles are the subset enumerators the search replaced.  The
 weighted one tries every vertex subset that covers the underlying graph,
@@ -7,13 +7,16 @@ single deletion or weight raise improves, and sweeps the survivors down
 to an antichain.  The unweighted one keeps the vertex subsets that cover
 every edge and lose that property when any vertex is dropped.  Both scan
 the edge list directly, so they share nothing with the search or the
-graph's adjacency table.
+graph's adjacency table.  The maximal-independent-set enumerator is also
+checked on its own against networkx's clique enumeration on the
+complement, and the level graph against its definition.
 """
 
 import itertools
 import random
 import time
 
+import networkx
 import pytest
 
 from graphideals.classify import classify_auto
@@ -25,6 +28,8 @@ from graphideals.decompose import (
 from graphideals.graphs import (
     Edge,
     WeightedGraph,
+    _level_graph,
+    _maximal_independent_sets,
     _maximal_thresholds,
     cover_decomposition,
     enumerate_minimal_covers,
@@ -174,6 +179,67 @@ class TestAgainstOracles:
         for g in exhaustive_weighted_graphs(4, weights=(1,)):
             supports = [c.support for c in enumerate_minimal_covers(g)]
             assert supports == minimal_vertex_covers(g)
+
+
+def level_edges(closed):
+    return {
+        (i, j)
+        for i, mask in enumerate(closed)
+        for j in range(len(closed))
+        if i < j and mask >> j & 1
+    }
+
+
+class TestLevelGraph:
+    def test_matches_definition(self):
+        for g in seeded_gnp(200, seed=6):
+            closed, levels, base = _level_graph(g.adjacency)
+            node = {}
+            for v in range(g.vertex_count):
+                assert levels[v] == list(g.incident_weights(v))
+                for k, a in enumerate(levels[v]):
+                    node[v, a] = base[v] + k
+            assert sorted(node.values()) == list(range(len(closed)))
+            expected = {
+                tuple(sorted((node[e.u, a], node[e.v, b])))
+                for e in g.edges
+                for a in levels[e.u]
+                for b in levels[e.v]
+                if a >= e.w and b >= e.w
+            }
+            assert level_edges(closed) == expected, g
+            assert all(mask >> i & 1 for i, mask in enumerate(closed))
+
+    def test_unit_weights_give_the_graph(self):
+        for g in exhaustive_weighted_graphs(5, weights=(1,)):
+            closed, levels, base = _level_graph(g.adjacency)
+            present = [v for v in range(g.vertex_count) if levels[v]]
+            assert present == [v for v in range(g.vertex_count) if g.degree(v)]
+            assert [base[v] for v in present] == list(range(len(closed)))
+            index = {v: k for k, v in enumerate(present)}
+            assert level_edges(closed) == {(index[e.u], index[e.v]) for e in g.edges}
+
+
+class TestMaximalIndependentSets:
+    def test_against_networkx(self):
+        rng = random.Random(8)
+        graphs = [networkx.empty_graph(1), networkx.empty_graph(6)]
+        for _ in range(300):
+            n, p = rng.randint(1, 14), rng.random()
+            graphs.append(networkx.gnp_random_graph(n, p, rng.randrange(10**6)))
+        for h in graphs:
+            closed = [
+                1 << i | sum(1 << j for j in h[i]) for i in range(h.number_of_nodes())
+            ]
+            found = sorted(
+                tuple(j for j in range(len(closed)) if mask >> j & 1)
+                for mask in _maximal_independent_sets(closed)
+            )
+            expected = sorted(
+                tuple(sorted(c))
+                for c in networkx.find_cliques(networkx.complement(h))
+            )
+            assert found == expected, sorted(h.edges)
 
 
 class TestDeepSearch:

@@ -8,16 +8,13 @@ from graphideals.decompose import (
     Decomposition,
     DecompositionLimitError,
     IrreducibleComponent,
-    irredundantize,
     is_m_unmixed_ideal,
-    m_height_of,
     split_decompose,
 )
 from graphideals.monomials import (
     MonomialIdeal,
     VariableContext,
     ideal_eq,
-    intersect,
     is_m_irreducible,
 )
 
@@ -151,55 +148,19 @@ class TestSplitDecompose:
             assert ideal_eq(D.intersection(), I)
 
 
-class TestIrredundantize:
-    def test_drops_contained_component(self):
-        keep = comp(X5, {0: 2, 1: 5, 3: 3})
-        drop = comp(X5, {0: 2, 1: 5, 3: 3, 4: 2})
-        D = irredundantize([drop, keep])
-        assert list(D.components) == [keep]
-
-    def test_fixed_point(self):
-        comps = [comp(X3, {0: 2, 1: 5}), comp(X3, {1: 2, 2: 1})]
-        D = irredundantize(comps)
-        assert list(D.components) == sorted(comps, key=lambda c: c.powers)
-
-    def test_deduplicates(self):
-        c = comp(X3, {0: 1})
-        assert len(irredundantize([c, c, c])) == 1
-
-    def test_rejects_empty(self):
-        with pytest.raises(ValueError):
-            irredundantize([])
-
-    def test_rejects_context_mix(self):
-        with pytest.raises(ValueError):
-            irredundantize([comp(X3, {0: 1}), comp(X5, {0: 1})])
-
-    def test_intersection_unchanged(self):
-        keep = comp(X3, {0: 2})
-        drop = comp(X3, {0: 2, 1: 5})
-        pruned = irredundantize([keep, drop])
-        both = intersect(keep.ideal(), drop.ideal())
-        assert ideal_eq(pruned.intersection(), both)
-
-
 class TestHeightAndUnmixed:
     def test_path_height_one(self):
         D = split_decompose(ideal(X3, (2, 2, 0), (0, 5, 5)))
-        assert m_height_of(D) == 1
+        assert min(D.support_sizes()) == 1
 
     def test_triangle_height_two(self):
         # edge ideal of a triangle with weights 1 <= 2 <= 3
         D = split_decompose(ideal(X3, (1, 1, 0), (0, 2, 2), (3, 0, 3)))
-        assert m_height_of(D) == 2
+        assert min(D.support_sizes()) == 2
 
     def test_single_variable(self):
         D = split_decompose(ideal(X3, (1, 0, 0)))
-        assert m_height_of(D) == 1
-
-    def test_empty_decomposition_rejected(self):
-        with pytest.raises(ValueError):
-            m_height_of(Decomposition(X3, ()))
+        assert min(D.support_sizes()) == 1
 
     def test_triangle_unmixed(self):
         assert is_m_unmixed_ideal(ideal(X3, (1, 1, 0), (0, 2, 2), (3, 0, 3)))
