@@ -462,7 +462,7 @@ def report_from_json(text: str) -> Report:
     return Report(data["status"], data["payload"], data["diagnostics"])
 
 
-def _component_cap(text: str) -> int:
+def _at_least_one(text: str) -> int:
     try:
         value = int(text)
     except ValueError:
@@ -493,7 +493,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--check", action="store_true", help="cross-check both methods")
     p.add_argument(
         "--max-components",
-        type=_component_cap,
+        type=_at_least_one,
         metavar="N",
         help="abort either method past N components",
     )
@@ -513,9 +513,13 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--assoc", action="store_true", help="associated primes")
     p = add("verify", needs_input=False, help="run the cross-validation suite")
     p.add_argument("input", nargs="?", help="graph JSON file, or - for stdin")
-    p.add_argument("--random", type=int, default=0, metavar="N")
-    p.add_argument("--max-vertices", type=int, default=5, dest="max_vertices")
-    p.add_argument("--max-weight", type=int, default=3, dest="max_weight")
+    p.add_argument("--random", type=_at_least_one, default=0, metavar="N")
+    p.add_argument(
+        "--max-vertices", type=_at_least_one, default=5, metavar="N", dest="max_vertices"
+    )
+    p.add_argument(
+        "--max-weight", type=_at_least_one, default=3, metavar="N", dest="max_weight"
+    )
     p.add_argument("--seed", type=int, default=0)
     return parser
 

@@ -13,7 +13,7 @@ import itertools
 import random
 from dataclasses import dataclass
 
-from .decompose import IrreducibleComponent, is_m_unmixed_ideal, split_decompose
+from .decompose import IrreducibleComponent, split_decompose
 from .graphs import (
     Edge,
     WeightedGraph,
@@ -160,10 +160,9 @@ def check_graph(graph: WeightedGraph, rng: random.Random | None = None):
     )
 
     unmixed = is_unmixed(graph).unmixed
+    by_split_unmixed = len(by_split.support_sizes()) == 1
     results.append(
-        CheckResult(
-            "unmixedness-routes-agree", unmixed == is_m_unmixed_ideal(ideal), 1, ""
-        )
+        CheckResult("unmixedness-routes-agree", unmixed == by_split_unmixed, 1, "")
     )
 
     ok = True

@@ -361,6 +361,26 @@ class TestVerifyCommand:
         code, _, err = invoke(["verify"])
         assert code == 1
 
+    @pytest.mark.parametrize(
+        "option, value",
+        [
+            ("--random", "0"),
+            ("--random", "-2"),
+            ("--max-vertices", "0"),
+            ("--max-vertices", "-1"),
+            ("--max-weight", "0"),
+        ],
+    )
+    def test_corpus_bounds_below_one_are_usage_errors(self, option, value):
+        argv = ["verify", "--random", "2", option, value]
+        code, out, err = invoke(argv)
+        assert (code, out) == (1, "")
+        assert err == f"error: argument {option}: N must be at least 1, got {value}\n"
+        argv[-1] = "1"
+        code, out, _ = invoke(argv)
+        assert code == 0
+        assert "result: pass" in out
+
     def test_failure_exits_3(self, c5, monkeypatch):
         from graphideals.decompose import Decomposition
         from graphideals import verify as verify_mod

@@ -20,11 +20,7 @@ import networkx
 import pytest
 
 from graphideals.classify import classify_auto
-from graphideals.decompose import (
-    DecompositionLimitError,
-    IrreducibleComponent,
-    _prune_powers,
-)
+from graphideals.decompose import DecompositionLimitError, IrreducibleComponent
 from graphideals.graphs import (
     Edge,
     WeightedGraph,
@@ -38,6 +34,7 @@ from graphideals.graphs import (
     suspend,
 )
 from graphideals.verify import exhaustive_weighted_graphs
+from test_kernels import prune_powers
 
 
 def _covers(edges, entries):
@@ -90,7 +87,7 @@ def oracle_minimal_covers(graph):
                 ):
                     continue
                 found.append(tuple(entries.items()))
-    return list(_prune_powers(found))
+    return list(prune_powers(found))
 
 
 def oracle_minimal_vertex_covers(graph):

@@ -1,5 +1,6 @@
 """Splitting-algorithm decompositions, irredundancy and m-height."""
 
+import itertools
 import random
 
 import pytest
@@ -10,6 +11,12 @@ from graphideals.decompose import (
     IrreducibleComponent,
     is_m_unmixed_ideal,
     split_decompose,
+)
+from graphideals.graphs import (
+    Edge,
+    WeightedGraph,
+    cover_decomposition,
+    weighted_edge_ideal,
 )
 from graphideals.monomials import (
     MonomialIdeal,
@@ -47,6 +54,37 @@ class TestComponent:
         # no silent truncation: (0, 2.7) must not become X1^2
         with pytest.raises(ValueError, match="must be ints"):
             IrreducibleComponent(X3, powers)
+
+    def test_sorts_unsorted_pairs(self):
+        c = IrreducibleComponent(X5, ((3, 1), (0, 2), (4, 7)))
+        assert c.powers == ((0, 2), (3, 1), (4, 7))
+        c = IrreducibleComponent(X5, [[4, 1], [1, 3]])
+        assert c.powers == ((1, 3), (4, 1))
+        assert all(type(pair) is tuple for pair in c.powers)
+        assert c == comp(X5, {1: 3, 4: 1})
+
+    @pytest.mark.parametrize(
+        "powers",
+        [((0, 1), (0, 2)), ((2, 1), (0, 1), (2, 3)), ((1, 1), (1, 1))],
+    )
+    def test_rejects_repeated_variable(self, powers):
+        with pytest.raises(ValueError, match="distinct"):
+            IrreducibleComponent(X3, powers)
+
+    @pytest.mark.parametrize(
+        "powers",
+        [((0, 1), (2, False)), ((2, 1), (False, 1)), ((1, 2), (0, 2.0))],
+    )
+    def test_rejects_bool_and_float_anywhere(self, powers):
+        with pytest.raises(ValueError, match="must be ints"):
+            IrreducibleComponent(X3, powers)
+
+    @pytest.mark.parametrize(
+        "powers", [((-1, 2),), ((2, 1), (7, 1), (0, 1)), ((0, 1), (5, 1))]
+    )
+    def test_rejects_index_out_of_range_anywhere(self, powers):
+        with pytest.raises(ValueError, match="out of range"):
+            IrreducibleComponent(X5, powers)
 
     def test_support_and_height(self):
         c = comp(X5, {0: 2, 1: 5, 3: 3})
@@ -146,6 +184,115 @@ class TestSplitDecompose:
                 continue
             D = split_decompose(I)
             assert ideal_eq(D.intersection(), I)
+
+
+def weighted_graph(d, edges):
+    return WeightedGraph(tuple(f"v{i + 1}" for i in range(d)), tuple(edges))
+
+
+def seeded_forest(rng, heavy=False):
+    """A random forest, isolated vertices included; some edges weigh 10**20
+    when ``heavy``, which widens the split route's packed fields."""
+    d = rng.randint(1, 12)
+    edges = []
+    for v in range(1, d):
+        if rng.random() < 0.75:
+            w = rng.randint(1, 4)
+            if heavy and rng.random() < 0.3:
+                w = 10**20 + rng.randint(0, 1)
+            edges.append(Edge(rng.randrange(v), v, w))
+    return weighted_graph(d, edges)
+
+
+def seeded_disconnected(rng):
+    """Two to four random G(n, 1/2) blocks side by side, with edgeless
+    blocks standing for isolated vertices."""
+    edges = []
+    d = 0
+    for _ in range(rng.randint(2, 4)):
+        n = rng.randint(1, 4)
+        for u, v in itertools.combinations(range(d, d + n), 2):
+            if rng.random() < 0.5:
+                edges.append(Edge(u, v, rng.randint(1, 3)))
+        d += n
+    return weighted_graph(d, edges)
+
+
+class TestIndependenceSplits:
+    """Split route against the covers route where the generators fall into
+    parts on disjoint variables."""
+
+    @staticmethod
+    def assert_routes_agree(g):
+        I = weighted_edge_ideal(g)
+        D = split_decompose(I)
+        assert D.components == cover_decomposition(g).components, g
+        return D
+
+    def test_forests(self):
+        rng = random.Random(20261018)
+        for _ in range(150):
+            self.assert_routes_agree(seeded_forest(rng))
+
+    def test_forests_with_huge_weights(self):
+        rng = random.Random(1018)
+        for _ in range(100):
+            self.assert_routes_agree(seeded_forest(rng, heavy=True))
+        big = 10**20
+        D = self.assert_routes_agree(
+            weighted_graph(4, [Edge(0, 1, big), Edge(1, 2, 1), Edge(2, 3, big + 1)])
+        )
+        assert ((1, 1), (2, big + 1)) in [c.powers for c in D.components]
+
+    def test_disconnected_graphs(self):
+        rng = random.Random(718)
+        for _ in range(150):
+            self.assert_routes_agree(seeded_disconnected(rng))
+
+    def test_isolated_vertices_join_no_component(self):
+        g = weighted_graph(6, [Edge(1, 2, 2), Edge(4, 5, 3)])
+        D = self.assert_routes_agree(g)
+        assert len(D) == 4
+        assert all({0, 3}.isdisjoint(c.support) for c in D.components)
+
+    def test_reconstruction_of_disjoint_blocks(self):
+        # not edge ideals: mixed generators of any support, pure powers too
+        rng = random.Random(99)
+        for _ in range(60):
+            blocks = []
+            d = 0
+            for _ in range(rng.randint(2, 3)):
+                n = rng.randint(1, 3)
+                for _ in range(rng.randint(1, 3)):
+                    row = [0] * 9
+                    for k in range(d, d + n):
+                        row[k] = rng.randint(0, 3)
+                    blocks.append(tuple(row))
+                d += n
+            I = MonomialIdeal(VariableContext.of_dimension(9), blocks)
+            if I.is_unit:
+                continue
+            D = split_decompose(I)
+            assert ideal_eq(D.intersection(), I)
+            for a, b in itertools.permutations(D.components, 2):
+                assert not a.contains(b)
+
+    def test_product_step_enforces_cap(self):
+        # k disjoint edges: k parts of two components each, 2^k in all;
+        # the top node is a product, so only the product step can refuse
+        k = 6
+        g = weighted_graph(2 * k, [Edge(2 * i, 2 * i + 1, i + 1) for i in range(k)])
+        I = weighted_edge_ideal(g)
+        assert len(split_decompose(I, max_components=2**k)) == 2**k
+        with pytest.raises(DecompositionLimitError):
+            split_decompose(I, max_components=2**k - 1)
+
+    def test_cap_checked_while_the_product_is_built(self):
+        # 2^40 components would never finish if built before the check
+        k = 40
+        g = weighted_graph(2 * k, [Edge(2 * i, 2 * i + 1, 2) for i in range(k)])
+        with pytest.raises(DecompositionLimitError, match="1000 components"):
+            split_decompose(weighted_edge_ideal(g), max_components=1000)
 
 
 class TestHeightAndUnmixed:

@@ -1,5 +1,5 @@
-"""Contract of the exponent-vector kernels and of the component pruning
-built on them."""
+"""Contract of the exponent-vector kernels, of the split route's packed
+cross-pruning, and of the component pruning the tests use as an oracle."""
 
 import itertools
 import random
@@ -7,7 +7,7 @@ import random
 import pytest
 
 from graphideals import kernels
-from graphideals.decompose import _powers_leq, _prune_powers
+from graphideals.decompose import _PowersCodec, _cross_prune, _powers_leq
 
 
 @pytest.fixture(params=kernels.available())
@@ -85,6 +85,27 @@ class TestKernelContract:
             impl.minimalize([(1, 0), (1, 0, 0)])
 
 
+def prune_powers(items):
+    """Drop every powers tuple whose ideal contains another's; dedupe; sort.
+
+    Encodes each tuple as the vector with M - e at each variable it
+    raises to e and 0 elsewhere, M exceeding every exponent.  Then
+    _powers_leq(b, a) holds exactly when b's vector divides a's, so the
+    minimal components are the kernel's minimal vectors.  The oracle for
+    any list of components, faster than the all-pairs sweep below.
+    """
+    uniq = set(items)
+    dim = 1 + max((i for powers in uniq for i, _ in powers), default=-1)
+    top = 1 + max((e for powers in uniq for _, e in powers), default=0)
+    by_vec = {}
+    for powers in uniq:
+        vec = [0] * dim
+        for i, e in powers:
+            vec[i] = top - e
+        by_vec[tuple(vec)] = powers
+    return tuple(sorted(by_vec[v] for v in kernels.minimalize(list(by_vec))))
+
+
 def brute_prune_powers(items):
     """All-pairs reference: drop every powers tuple some other one lies
     below in the component order; dedupe; sort."""
@@ -102,18 +123,18 @@ def random_powers(rng, dim, max_exp):
 class TestPrunePowers:
     def test_golden(self):
         items = [((0, 2), (1, 5)), ((0, 2),), ((0, 1), (1, 5)), ((1, 1),)]
-        assert _prune_powers(items) == (((0, 2),), ((1, 1),))
+        assert prune_powers(items) == (((0, 2),), ((1, 1),))
 
     def test_zero_component_is_below_everything(self):
-        assert _prune_powers([((0, 1),), (), ((2, 7),), ()]) == ((),)
+        assert prune_powers([((0, 1),), (), ((2, 7),), ()]) == ((),)
 
     def test_empty(self):
-        assert _prune_powers([]) == ()
+        assert prune_powers([]) == ()
 
     def test_huge_exponents(self):
         big = 10**20
         items = [((0, big),), ((0, big), (1, 1)), ((0, big + 1),)]
-        assert _prune_powers(items) == brute_prune_powers(items)
+        assert prune_powers(items) == brute_prune_powers(items)
 
     def test_matches_all_pairs_sweep(self):
         rng = random.Random(20261017)
@@ -126,7 +147,57 @@ class TestPrunePowers:
             for powers in list(items[: rng.randint(0, len(items))]):
                 items.append(tuple((i, rng.randint(1, max_exp)) for i, _ in powers))
             rng.shuffle(items)
-            assert _prune_powers(items) == brute_prune_powers(items)
+            assert prune_powers(items) == brute_prune_powers(items)
+
+
+class TestCrossPrune:
+    """The split route's packed left-right pruning of two antichains."""
+
+    @staticmethod
+    def cross(left, right, dim, max_exp):
+        codec = _PowersCodec(dim, max_exp)
+        packed = _cross_prune(
+            [codec.pack(p) for p in left], [codec.pack(p) for p in right], codec.guards
+        )
+        assert len(set(packed)) == len(packed)
+        return tuple(sorted(codec.unpack(x) for x in packed))
+
+    def test_round_trip(self):
+        codec = _PowersCodec(4, 10**20)
+        for powers in [(), ((0, 1),), ((1, 10**20), (3, 7))]:
+            assert codec.unpack(codec.pack(powers)) == powers
+
+    def test_component_on_both_sides_kept_once(self):
+        left = [((0, 2),), ((1, 1), (2, 1))]
+        right = [((0, 2),), ((2, 3),)]
+        assert self.cross(left, right, 3, 3) == (((0, 2),), ((2, 3),))
+
+    def test_zero_component_prunes_the_other_side(self):
+        assert self.cross([()], [((0, 1),), ((1, 4),)], 2, 4) == ((),)
+        assert self.cross([((0, 1),)], [()], 2, 4) == ((),)
+
+    def test_huge_exponents(self):
+        big = 10**20
+        left = [((0, big),), ((1, 1), (2, big))]
+        right = [((0, big + 1), (2, big)), ((1, big),)]
+        want = brute_prune_powers(left + right)
+        assert self.cross(left, right, 3, big + 1) == want
+
+    def test_matches_all_pairs_sweep(self):
+        rng = random.Random(20261018)
+        for trial in range(400):
+            dim = rng.randint(1, 6)
+            max_exp = rng.choice((1, 2, 4, 2**40))
+            sides = []
+            for _ in range(2):
+                items = [random_powers(rng, dim, max_exp) for _ in range(rng.randint(0, 10))]
+                sides.append(list(brute_prune_powers(items)))
+            left, right = sides
+            # share some components between the two sides
+            right += rng.sample(left, rng.randint(0, len(left)))
+            right = list(brute_prune_powers(right))
+            want = brute_prune_powers(left + right)
+            assert self.cross(left, right, dim, max_exp) == want
 
 
 class TestSelector:

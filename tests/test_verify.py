@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from graphideals import graphs, verify
+from graphideals import decompose, graphs, verify
 from graphideals.graphs import cycle_graph, path_graph
 from graphideals.verify import (
     check_graph,
@@ -44,6 +44,27 @@ class TestCheckGraph:
         results = check_graph(graph)
         assert all(r.passed for r in results)
         assert calls["weighted"] <= 2 and calls["unit"] <= 1
+
+    @pytest.mark.parametrize(
+        "graph",
+        [cycle_graph([2, 5, 3, 4, 2]), path_graph([1, 2, 1, 2])],
+        ids=["C5", "P5-mixed"],
+    )
+    def test_split_route_runs_once(self, graph, monkeypatch):
+        # the unmixedness check reads the decomposition already computed;
+        # patched under both names, so a call through either is counted
+        calls = []
+        split = decompose.split_decompose
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return split(*args, **kwargs)
+
+        monkeypatch.setattr(decompose, "split_decompose", counted)
+        monkeypatch.setattr(verify, "split_decompose", counted)
+        results = check_graph(graph)
+        assert all(r.passed for r in results)
+        assert len(calls) == 1
 
     def test_uniform_weight_check_only_when_trivial(self):
         names = {r.name for r in check_graph(cycle_graph([2, 2, 2]))}
