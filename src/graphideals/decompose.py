@@ -10,11 +10,14 @@ components combined, an independence split after Roune's slice algorithm
 components reduces to a support/exponent comparison (:func:`_powers_leq`),
 which makes pruning exact: an intersection of m-irreducible ideals inside
 an m-irreducible ideal forces one factor inside it (lcm argument), so
-irredundant lists are unique and route-independent.  The two sides of a
-split are irredundant already, so pruning compares only components from
-opposite sides, each packed into one integer so that the comparison is a
-subtraction (packed-vector divisibility after Bachmann & Schönemann,
-ISSAC 1998).
+irredundant lists are unique and route-independent.  Generators and
+components are packed into one integer each, so that divisibility and
+containment are one subtraction (packed-vector divisibility after
+Bachmann & Schönemann, ISSAC 1998).  At a split f = u*v, with u a pure
+power, the two sides are irredundant already, and tests on the fields
+of u and v settle most pairs without comparing them: a component of
+I + (v) that contains u is dropped, a component of I + (u) that does not
+contain v is kept, and only the rest are compared.
 """
 
 from __future__ import annotations
@@ -22,7 +25,6 @@ from __future__ import annotations
 import bisect
 from dataclasses import dataclass
 
-from . import kernels
 from .monomials import (
     ContextMismatchError,
     MonomialIdeal,
@@ -178,28 +180,33 @@ def split_decompose(
 ) -> Decomposition:
     """Irredundant m-irreducible decomposition by generator splitting.
 
-    Works on the ideal's canonical generator rows alone, memoizing every
-    subproblem on them.  At each node:
+    Works on the ideal's canonical generator rows alone, each packed into
+    one int by :class:`_PowersCodec` with its degree above the exponent
+    fields, so the ints sort in graded-lex order; every subproblem is
+    memoized on its sorted tuple of packed rows.  At each node:
 
     - if every generator is a pure power, they form the one component;
     - if the generators fall into parts on pairwise disjoint variables
       (an independence split), each part is decomposed on its own and
       the components are the cartesian product of the parts' lists,
       which is irredundant as it stands;
-    - otherwise the first generator (graded-lex order) that is not a
-      pure power splits into its lowest-variable pure-power factor u
-      and the cofactor v, and the decompositions of I + (u) and I + (v)
-      are merged.  Each side is irredundant, so only components of one
-      side can lie below components of the other: pruning compares
-      left against right only, and keeps once a component on both.
+    - otherwise the first generator that is not a pure power splits into
+      its lowest-variable pure-power factor u and the cofactor v, and
+      the decompositions of I + (u) and I + (v) are merged by
+      :func:`_split_prune`: a component of I + (v) that contains u goes,
+      a component of I + (u) that does not contain v stays, each by a
+      test on u's or v's fields, and only the rest are compared.
 
     No generator divides u or v (it would divide the pivot), so adjoining
-    either one drops its multiples and inserts it, a linear pass.  Past
-    ``max_components`` components at any split or product node,
-    including while a product is being built, raises
-    DecompositionLimitError.  The zero ideal decomposes as the single
-    component P(empty); the unit ideal is refused, since an intersection
-    of proper monomial ideals is never the whole ring.
+    either one drops its multiples and inserts it, a linear pass of one
+    subtraction per row.  Each monomial's degree and support are computed
+    once, when it enters: as an input row, or as a pivot's u or v.  The
+    recursion runs on an explicit stack, so its depth is not bounded by
+    Python's recursion limit.  Past ``max_components`` components at any
+    split or product node, including while a product is being built,
+    raises DecompositionLimitError.  The zero ideal decomposes as the
+    single component P(empty); the unit ideal is refused, since an
+    intersection of proper monomial ideals is never the whole ring.
     """
     if ideal.is_unit:
         raise ValueError("unit ideal has no irreducible decomposition")
@@ -207,77 +214,84 @@ def split_decompose(
     codec = _PowersCodec(
         context.dimension, max((e for r in ideal.rows for e in r), default=0)
     )
-    memo: dict[tuple, tuple] = {}
+    guards, field, degree_unit = codec.guards, codec.field, 1 << codec.fields_bits
+    top_rows = tuple(codec.pack_row(r) for r in ideal.rows)
+    support = {m: codec.support(m) for m in top_rows}
+
+    def adjoin(rows, m):
+        # a multiple of m sorts after it, so only the rows past its
+        # insertion point can be dropped
+        at = bisect.bisect(rows, m)
+        kept = [r for r in rows[at:] if ((r | guards) - m) & guards != guards]
+        return (*rows[:at], m, *kept)
 
     def over_cap():
         return DecompositionLimitError(
             f"decomposition exceeded {max_components} components"
         )
 
-    def rec(rows):
-        hit = memo.get(rows)
-        if hit is not None:
-            return hit
-        masks = []
-        pivot = None
-        for r in rows:
-            mask = _support_mask(r)
-            if pivot is None and mask & (mask - 1):
-                pivot = r
-                pivot_mask = mask
-            masks.append(mask)
-        if pivot is None:
-            # every generator is a pure power: one component
-            leads = (m.bit_length() - 1 for m in masks)
-            comps = (codec.pack((i, r[i]) for r, i in zip(rows, leads)),)
-        else:
+    memo: dict[tuple, tuple] = {}
+    # a frame is (rows, None, None) until expanded, then (rows, children,
+    # the pivot's (u, v) or None); every child pushed above a frame is
+    # done by the time the frame is back on top
+    stack = [(top_rows, None, None)]
+    while stack:
+        rows, children, factors = stack[-1]
+        if rows in memo:
+            stack.pop()
+            continue
+        if children is None:
+            masks = [support[r] for r in rows]
+            for pivot, s in zip(rows, masks):
+                if s & (s - 1):
+                    break
+            else:
+                # pure powers on distinct variables: field k of the
+                # component is top - e_k on their support
+                total = sum(rows) & (degree_unit - 1)
+                memo[rows] = (codec.top * sum(masks) - total,)
+                stack.pop()
+                continue
             parts = _independent_parts(masks)
             if len(parts) > 1:
-                comps = (0,)
-                for part in parts:
-                    sub = rec(tuple(r for r, m in zip(rows, masks) if m & part))
-                    if len(comps) * len(sub) > max_components:
-                        raise over_cap()
-                    # disjoint variables: adding packed fields merges them
-                    comps = tuple(a + b for a in comps for b in sub)
+                children = [
+                    tuple(r for r, m in zip(rows, masks) if m & part)
+                    for part in parts
+                ]
+                stack[-1] = (rows, children, None)
             else:
-                i = (pivot_mask & -pivot_mask).bit_length() - 1
-                u = tuple(e if k == i else 0 for k, e in enumerate(pivot))
-                v = tuple(0 if k == i else e for k, e in enumerate(pivot))
-                left = rec(_adjoin(rows, u))
-                right = rec(_adjoin(rows, v))
-                comps = _cross_prune(left, right, codec.guards)
-                if len(comps) > max_components:
+                # u = x_i^e on the pivot's highest field, the lowest
+                # variable; its degree e goes above the fields
+                unit = 1 << (s.bit_length() - 1)
+                u = pivot & (field * unit)
+                u += u // unit * degree_unit
+                v = pivot - u
+                support[u] = unit
+                support[v] = s - unit
+                children = [adjoin(rows, u), adjoin(rows, v)]
+                stack[-1] = (rows, children, (u, v))
+            stack.extend((c, None, None) for c in children if c not in memo)
+            continue
+        if factors is None:
+            comps = (0,)
+            for child in children:
+                sub = memo[child]
+                if len(comps) * len(sub) > max_components:
                     raise over_cap()
+                # disjoint variables: adding packed fields merges them
+                comps = tuple(a + b for a in comps for b in sub)
+        else:
+            left, right = memo[children[0]], memo[children[1]]
+            comps = _split_prune(left, right, *factors, codec)
+            if len(comps) > max_components:
+                raise over_cap()
         memo[rows] = comps
-        return comps
+        stack.pop()
 
     components = tuple(
-        IrreducibleComponent(context, codec.unpack(p)) for p in rec(ideal.rows)
+        IrreducibleComponent(context, codec.unpack(p)) for p in memo[top_rows]
     )
     return Decomposition(context, components)
-
-
-def _support_mask(row) -> int:
-    mask = 0
-    for k, e in enumerate(row):
-        if e:
-            mask |= 1 << k
-    return mask
-
-
-def _adjoin(rows, m):
-    """The canonical rows of (rows) + (m), given that no row divides m.
-
-    A multiple of m has a larger graded-lex key, so m's multiples all lie
-    after its insertion point.  Comparing one variable of m first settles
-    most rows, and every row when m is a pure power.
-    """
-    at = bisect.bisect(rows, kernels.grlex_key(m), key=kernels.grlex_key)
-    k = next(k for k, e in enumerate(m) if e)
-    e = m[k]
-    kept = tuple(r for r in rows[at:] if r[k] < e or not kernels.divides(m, r))
-    return rows[:at] + (m,) + kept
 
 
 def _independent_parts(masks):
@@ -296,59 +310,82 @@ def _independent_parts(masks):
 
 
 class _PowersCodec:
-    """Powers tuples packed into ints, one bit field per variable.
+    """Monomials and components packed into ints, one bit field per variable.
 
-    Variable i raised to e fills field i with M - e, where M exceeds every
-    exponent, and an absent variable leaves it 0.  Then ``_powers_leq(b,
-    a)`` holds exactly when every field of b is at most a's, which is one
-    subtraction: with a guard bit above each field, no field of
-    (a | G) - b borrows from the next, and field i keeps its guard bit
-    exactly when a's field i is at least b's.  Fields on disjoint
-    variables add without carries.
+    Variable 0 takes the highest field, so packed monomials compare as
+    their exponent tuples do.  ``pack_row`` puts the degree above all the
+    fields, so packed rows compare as their (degree, exponents) keys:
+    graded-lex order.  Each field has a guard bit above it, so
+    ``((a | G) - b) & G == G`` holds exactly when every field of a is at
+    least b's: no field borrows from the next, and the degree above the
+    fields does not touch the bits below it.  For monomials that is b
+    divides a.  A component P(V', d') fills field i with M - d'(i) on V',
+    where M exceeds every exponent, and leaves the others 0; then the
+    same test on components is ``_powers_leq(b, a)``, and fields on
+    disjoint variables add without carries.  ``support`` marks each
+    nonzero field by the lowest bit of the field.
     """
 
     def __init__(self, dimension, max_exponent):
         self.top = max_exponent + 1
-        bits = self.top.bit_length()
-        self.width = bits + 1
-        self.field = (1 << bits) - 1
-        self.guards = sum(1 << (bits + k * self.width) for k in range(dimension))
+        self.bits = self.top.bit_length()
+        self.width = self.bits + 1
+        self.field = (1 << self.bits) - 1
+        self.shifts = tuple((dimension - 1 - k) * self.width for k in range(dimension))
+        self.fields_bits = dimension * self.width
+        self.units = sum(1 << s for s in self.shifts)
+        self.guards = self.units << self.bits
 
-    def pack(self, powers) -> int:
-        top, width = self.top, self.width
-        return sum((top - e) << (i * width) for i, e in powers)
+    def pack_row(self, row) -> int:
+        fields = sum(e << s for e, s in zip(row, self.shifts))
+        return (sum(row) << self.fields_bits) | fields
+
+    def support(self, packed) -> int:
+        guards = self.guards
+        return (((packed | guards) - self.units) & guards) >> self.bits
 
     def unpack(self, packed) -> tuple[tuple[int, int], ...]:
         top, width, field = self.top, self.width, self.field
         powers = []
-        i = 0
+        i = len(self.shifts)
         while packed:
+            i -= 1
             f = packed & field
             if f:
                 powers.append((i, top - f))
             packed >>= width
-            i += 1
+        powers.reverse()
         return tuple(powers)
 
 
-def _cross_prune(left, right, guards):
-    """Minimal elements of the union of two antichains of packed components.
+def _split_prune(left, right, u, v, codec):
+    """Minimal components of a split f = u*v, u a pure power, u and v coprime.
 
-    Neither side holds a pair in order, so only left-right pairs are
-    compared; a component on both sides is kept once.
+    ``left`` and ``right`` are the packed irredundant decompositions of
+    I + (u) and I + (v), and u and v packed monomials.  A right component
+    that contains u contains I + (u), so it lies above a left one (or is
+    one) and goes, with one field test.  A left component that does not
+    contain v contains no right one, so it stays.  Only the left
+    components that contain v are compared, and only against the right
+    components that stayed; those never lie above a left one, as they do
+    not contain u.  A component contains a packed monomial m when some
+    field on m's support is at least M minus m's exponent there, one
+    guarded subtraction.
     """
-    shared = set(left) & set(right)
-    kept = list(shared)
-    for mine, theirs in ((left, right), (right, left)):
-        for a in mine:
-            if a in shared:
-                continue
-            ag = a | guards
-            for b in theirs:
-                if (ag - b) & guards == guards:
-                    break
-            else:
-                kept.append(a)
+    guards, bits = codec.guards, codec.bits
+    low = (1 << codec.fields_bits) - 1
+    u, v = u & low, v & low
+    su, sv = codec.support(u), codec.support(v)
+    tu, gu = codec.top * su - u, su << bits
+    tv, gv = codec.top * sv - v, sv << bits
+    kept_right = [b for b in right if not ((b | guards) - tu) & gu]
+    kept = []
+    for a in left:
+        ag = a | guards
+        if (ag - tv) & gv and any((ag - b) & guards == guards for b in kept_right):
+            continue
+        kept.append(a)
+    kept += kept_right
     return tuple(kept)
 
 

@@ -179,6 +179,21 @@ class TestDecomposeCommand:
             "check: methods agree\n"
         )
 
+    def test_split_on_deep_star(self, tmp_path):
+        # the split route goes one level deeper per leaf; 497 leaves
+        # overflowed the default recursion limit when it recursed
+        leaves = [f"l{i}" for i in range(497)]
+        doc = {
+            "vertices": ["c"] + leaves,
+            "edges": [{"u": "c", "v": x, "w": 1 + i % 3} for i, x in enumerate(leaves)],
+        }
+        path = tmp_path / "star.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = invoke(["decompose", str(path), "--method", "split"])
+        assert code == 0
+        assert err == ""
+        assert len(out.splitlines()) == 4
+
     def test_json_payload(self, p2):
         code, out, _ = invoke(["decompose", p2, "--format", "json"])
         doc = json.loads(out)

@@ -295,6 +295,36 @@ class TestIndependenceSplits:
             split_decompose(weighted_edge_ideal(g), max_components=1000)
 
 
+class TestRouteAgreement:
+    """Split against covers on larger graphs, weights 1..3 drawn in edge
+    order from a fresh Random(12050)."""
+
+    @pytest.mark.parametrize(
+        "name, count", [("C18", 1083), ("C20", 4005), ("K10", 37)]
+    )
+    def test_cycles_and_complete_graph(self, name, count):
+        rng = random.Random(12050)
+        n = int(name[1:])
+        if name[0] == "C":
+            pairs = [(i, (i + 1) % n) for i in range(n)]
+        else:
+            pairs = list(itertools.combinations(range(n), 2))
+        g = weighted_graph(n, [Edge(u, v, rng.randint(1, 3)) for u, v in pairs])
+        D = split_decompose(weighted_edge_ideal(g))
+        assert len(D) == count
+        assert D.components == cover_decomposition(g).components
+
+    def test_star_deeper_than_the_recursion_limit(self):
+        # one level per leaf: 497 leaves is the smallest star of this
+        # family whose split ran past Python's default recursion limit
+        # when the route recursed
+        n = 497
+        g = weighted_graph(n + 1, [Edge(0, i + 1, 1 + i % 3) for i in range(n)])
+        D = split_decompose(weighted_edge_ideal(g))
+        assert len(D) == 4
+        assert D.components == cover_decomposition(g).components
+
+
 class TestHeightAndUnmixed:
     def test_path_height_one(self):
         D = split_decompose(ideal(X3, (2, 2, 0), (0, 5, 5)))

@@ -1,5 +1,6 @@
 """Contract of the exponent-vector kernels, of the split route's packed
-cross-pruning, and of the component pruning the tests use as an oracle."""
+monomials and pruning, and of the component pruning the tests use as an
+oracle."""
 
 import itertools
 import random
@@ -7,7 +8,15 @@ import random
 import pytest
 
 from graphideals import kernels
-from graphideals.decompose import _PowersCodec, _cross_prune, _powers_leq
+from graphideals.decompose import (
+    _PowersCodec,
+    _powers_leq,
+    _split_prune,
+    split_decompose,
+)
+from graphideals.monomials import MonomialIdeal, VariableContext
+
+X3 = VariableContext.of_dimension(3)
 
 
 @pytest.fixture(params=kernels.available())
@@ -150,54 +159,121 @@ class TestPrunePowers:
             assert prune_powers(items) == brute_prune_powers(items)
 
 
+class TestPackedRows:
+    """The split route's packed monomials against the tuple kernels."""
+
+    def test_order_is_graded_lex(self):
+        rng = random.Random(20261019)
+        for trial in range(300):
+            dim = rng.randint(1, 6)
+            hi = rng.choice((1, 3, 10**20))
+            codec = _PowersCodec(dim, hi)
+            rows = list(set(random_vecs(rng, rng.randint(0, 20), dim, hi)))
+            packed = {codec.pack_row(r): r for r in rows}
+            assert len(packed) == len(rows)
+            for m, r in packed.items():
+                assert m >> codec.fields_bits == sum(r)
+            # the degree sits above the fields, so the ints sort by
+            # (degree, exponent fields)
+            by_packed = [packed[m] for m in sorted(packed)]
+            assert by_packed == sorted(rows, key=kernels.grlex_key)
+
+    def test_divides_and_support(self):
+        rng = random.Random(20261020)
+        for trial in range(300):
+            dim = rng.randint(1, 6)
+            hi = rng.choice((1, 3, 10**20))
+            codec = _PowersCodec(dim, hi)
+            guards = codec.guards
+            a, b = random_vecs(rng, 2, dim, hi)
+            pa, pb = codec.pack_row(a), codec.pack_row(b)
+            assert (((pb | guards) - pa) & guards == guards) == kernels.divides(a, b)
+            assert codec.support(pa) == sum(
+                1 << s for e, s in zip(a, codec.shifts) if e
+            )
+
+
+def pack(codec, powers):
+    """A component in the split route's packed layout: field i holds
+    M - e for X_i^e, the fields of absent variables 0."""
+    return sum((codec.top - e) << codec.shifts[i] for i, e in powers)
+
+
+def split_sides(ideal, f, i):
+    """Packed decompositions of I + (u) and I + (v), f = u*v, u = x_i^f_i."""
+    u = tuple(e if k == i else 0 for k, e in enumerate(f))
+    v = tuple(0 if k == i else e for k, e in enumerate(f))
+    codec = _PowersCodec(len(f), max(e for r in ideal.rows for e in r))
+    sides = []
+    for m in (u, v):
+        D = split_decompose(MonomialIdeal(ideal.context, ideal.rows + (m,)))
+        sides.append([c.powers for c in D.components])
+    return codec, codec.pack_row(u), codec.pack_row(v), sides
+
+
 class TestCrossPrune:
-    """The split route's packed left-right pruning of two antichains."""
+    """The split route's order-aware pruning of the two sides of a split
+    f = u*v, on real split pairs, against the pruning oracle."""
 
     @staticmethod
-    def cross(left, right, dim, max_exp):
-        codec = _PowersCodec(dim, max_exp)
-        packed = _cross_prune(
-            [codec.pack(p) for p in left], [codec.pack(p) for p in right], codec.guards
+    def split_prune(ideal, f, i):
+        codec, u, v, (left, right) = split_sides(ideal, f, i)
+        packed = _split_prune(
+            [pack(codec, p) for p in left], [pack(codec, p) for p in right], u, v, codec
         )
         assert len(set(packed)) == len(packed)
-        return tuple(sorted(codec.unpack(x) for x in packed))
+        got = tuple(sorted(codec.unpack(x) for x in packed))
+        assert got == prune_powers(left + right)
+        return left, right, got
+
+    @classmethod
+    def check_every_pivot(cls, ideal):
+        for f in ideal.rows:
+            support = [i for i, e in enumerate(f) if e]
+            for i in support if len(support) > 1 else ():
+                cls.split_prune(ideal, f, i)
 
     def test_round_trip(self):
         codec = _PowersCodec(4, 10**20)
         for powers in [(), ((0, 1),), ((1, 10**20), (3, 7))]:
-            assert codec.unpack(codec.pack(powers)) == powers
+            assert codec.unpack(pack(codec, powers)) == powers
+        assert pack(codec, ()) == 0
 
     def test_component_on_both_sides_kept_once(self):
-        left = [((0, 2),), ((1, 1), (2, 1))]
-        right = [((0, 2),), ((2, 3),)]
-        assert self.cross(left, right, 3, 3) == (((0, 2),), ((2, 3),))
+        # the triangle split at its first generator X2*X3, u = X2, v = X3
+        # both sides hold (X2, X3)
+        triangle = MonomialIdeal(X3, [(0, 1, 1), (1, 0, 1), (1, 1, 0)])
+        left, right, got = self.split_prune(triangle, (0, 1, 1), 1)
+        assert set(left) & set(right) == {((1, 1), (2, 1))}
+        assert got == (((0, 1), (1, 1)), ((0, 1), (2, 1)), ((1, 1), (2, 1)))
 
-    def test_zero_component_prunes_the_other_side(self):
-        assert self.cross([()], [((0, 1),), ((1, 4),)], 2, 4) == ((),)
-        assert self.cross([((0, 1),)], [()], 2, 4) == ((),)
+    def test_zero_fields(self):
+        # X1 and X5 appear in no generator, so every component leaves
+        # their fields 0
+        ctx = VariableContext.of_dimension(5)
+        self.check_every_pivot(
+            MonomialIdeal(ctx, [(0, 2, 1, 0, 0), (0, 0, 3, 1, 0), (0, 1, 0, 2, 0)])
+        )
 
     def test_huge_exponents(self):
         big = 10**20
-        left = [((0, big),), ((1, 1), (2, big))]
-        right = [((0, big + 1), (2, big)), ((1, big),)]
-        want = brute_prune_powers(left + right)
-        assert self.cross(left, right, 3, big + 1) == want
+        ideal = MonomialIdeal(X3, [(big, 1, 0), (0, big + 1, big), (1, 0, big)])
+        self.check_every_pivot(ideal)
 
     def test_matches_all_pairs_sweep(self):
+        # every mixed generator, split at every variable, not only the
+        # route's own pivot
         rng = random.Random(20261018)
-        for trial in range(400):
-            dim = rng.randint(1, 6)
-            max_exp = rng.choice((1, 2, 4, 2**40))
-            sides = []
-            for _ in range(2):
-                items = [random_powers(rng, dim, max_exp) for _ in range(rng.randint(0, 10))]
-                sides.append(list(brute_prune_powers(items)))
-            left, right = sides
-            # share some components between the two sides
-            right += rng.sample(left, rng.randint(0, len(left)))
-            right = list(brute_prune_powers(right))
-            want = brute_prune_powers(left + right)
-            assert self.cross(left, right, dim, max_exp) == want
+        for trial in range(150):
+            dim = rng.randint(2, 6)
+            ctx = VariableContext.of_dimension(dim)
+            hi = rng.choice((1, 2, 4))
+            rows = random_vecs(rng, rng.randint(1, 6), dim, hi)
+            if rng.random() < 0.2:
+                rows = [tuple(10**20 if e == hi else e for e in r) for r in rows]
+            ideal = MonomialIdeal(ctx, rows)
+            if not ideal.is_unit:
+                self.check_every_pivot(ideal)
 
 
 class TestSelector:
