@@ -29,7 +29,6 @@ from .monomials import (
     ContextMismatchError,
     MonomialIdeal,
     VariableContext,
-    intersect,
 )
 
 DEFAULT_COMPONENT_CAP = 100_000
@@ -162,11 +161,52 @@ class Decomposition:
         object.__setattr__(self, "components", ordered)
 
     def intersection(self) -> MonomialIdeal:
-        """Intersect all components; recovers the decomposed ideal."""
-        result = MonomialIdeal.unit(self.context)
+        """Intersect all components; recovers the decomposed ideal.
+
+        Folds the components into the generator rows of their
+        intersection, starting from the unit ideal's row 1.  Rows are
+        packed as in :func:`split_decompose` (:class:`_PowersCodec`, the
+        degree above the exponent fields), so the ints sort in graded-lex
+        order.  Against a component P = (x_i^e_i : i in V'), a row r with
+        some exponent r_i >= e_i on V' lies in P and passes alone: every
+        other lcm it makes is a multiple of it.  Any other row r gives
+        lcm(r, x_i^e_i) for each i in V', one addition of e_i - r_i to
+        field i and to the degree.  One ascending sweep over the sorted,
+        deduplicated rows then keeps those no kept row divides, one
+        guarded subtraction per test; a divisor sorts before its
+        multiples.  A zero component leaves no rows, the zero ideal; no
+        components leave the unit ideal.  Neither decomposition route is
+        called, so the result checks both.
+        """
+        context = self.context
+        codec = _PowersCodec(
+            context.dimension,
+            max((e for c in self.components for _, e in c.powers), default=0),
+        )
+        guards, shifts, field = codec.guards, codec.shifts, codec.field
+        degree_shift = codec.fields_bits
+        rows = [0]
         for c in self.components:
-            result = intersect(result, c.ideal())
-        return result
+            steps = [(shifts[i], e) for i, e in c.powers]
+            powers = sum(e << s for s, e in steps)
+            in_support = sum(1 << s for s, _ in steps) << codec.bits
+            candidates = set()
+            for r in rows:
+                if ((r | guards) - powers) & in_support:
+                    candidates.add(r)
+                    continue
+                for s, e in steps:
+                    gap = e - ((r >> s) & field)
+                    candidates.add(r + (gap << s) + (gap << degree_shift))
+            rows = []
+            for m in sorted(candidates):
+                mg = m | guards
+                for k in rows:
+                    if (mg - k) & guards == guards:
+                        break
+                else:
+                    rows.append(m)
+        return MonomialIdeal(context, [codec.unpack_row(r) for r in rows])
 
     def support_sizes(self) -> tuple[int, ...]:
         return tuple(sorted({c.m_height for c in self.components}))
@@ -339,6 +379,10 @@ class _PowersCodec:
     def pack_row(self, row) -> int:
         fields = sum(e << s for e, s in zip(row, self.shifts))
         return (sum(row) << self.fields_bits) | fields
+
+    def unpack_row(self, packed) -> tuple[int, ...]:
+        field = self.field
+        return tuple((packed >> s) & field for s in self.shifts)
 
     def support(self, packed) -> int:
         guards = self.guards

@@ -99,18 +99,16 @@ def check_graph(graph: WeightedGraph, rng: random.Random | None = None):
     covers = list(by_covers.components)
     by_split = split_decompose(ideal)
 
+    # equal components intersect alike, so one intersection checks both
     agree = by_covers.components == by_split.components
-    intersects = ideal_eq(by_covers.intersection(), ideal) and ideal_eq(
-        by_split.intersection(), ideal
-    )
-    results.append(
-        CheckResult(
-            "decomposition-routes-agree",
-            agree and intersects,
-            1,
-            "" if agree and intersects else f"mismatch on {graph}",
-        )
-    )
+    intersects = agree and ideal_eq(by_covers.intersection(), ideal)
+    if not agree:
+        detail = f"routes disagree on {graph}"
+    elif not intersects:
+        detail = f"components do not intersect back to the ideal on {graph}"
+    else:
+        detail = ""
+    results.append(CheckResult("decomposition-routes-agree", intersects, 1, detail))
 
     results.append(
         CheckResult(

@@ -22,6 +22,7 @@ from graphideals.monomials import (
     MonomialIdeal,
     VariableContext,
     ideal_eq,
+    intersect,
     is_m_irreducible,
 )
 
@@ -295,21 +296,26 @@ class TestIndependenceSplits:
             split_decompose(weighted_edge_ideal(g), max_components=1000)
 
 
+def route_graph(name):
+    """Cycle Cn or complete graph Kn, weights 1..3 drawn in edge order from
+    a fresh Random(12050)."""
+    rng = random.Random(12050)
+    n = int(name[1:])
+    if name[0] == "C":
+        pairs = [(i, (i + 1) % n) for i in range(n)]
+    else:
+        pairs = list(itertools.combinations(range(n), 2))
+    return weighted_graph(n, [Edge(u, v, rng.randint(1, 3)) for u, v in pairs])
+
+
 class TestRouteAgreement:
-    """Split against covers on larger graphs, weights 1..3 drawn in edge
-    order from a fresh Random(12050)."""
+    """Split against covers on larger graphs."""
 
     @pytest.mark.parametrize(
         "name, count", [("C18", 1083), ("C20", 4005), ("K10", 37)]
     )
     def test_cycles_and_complete_graph(self, name, count):
-        rng = random.Random(12050)
-        n = int(name[1:])
-        if name[0] == "C":
-            pairs = [(i, (i + 1) % n) for i in range(n)]
-        else:
-            pairs = list(itertools.combinations(range(n), 2))
-        g = weighted_graph(n, [Edge(u, v, rng.randint(1, 3)) for u, v in pairs])
+        g = route_graph(name)
         D = split_decompose(weighted_edge_ideal(g))
         assert len(D) == count
         assert D.components == cover_decomposition(g).components
@@ -323,6 +329,82 @@ class TestRouteAgreement:
         D = split_decompose(weighted_edge_ideal(g))
         assert len(D) == 4
         assert D.components == cover_decomposition(g).components
+
+
+def tuple_fold(D):
+    """The intersection folded on dense tuples, one component at a time."""
+    acc = MonomialIdeal.unit(D.context)
+    for c in D.components:
+        acc = intersect(acc, c.ideal())
+    return acc
+
+
+def seeded_component_list(rng):
+    """Random components of dimension 1-7, with repeated and redundant
+    components among them; some exponents are 10**20, and a few lists
+    hold the zero component."""
+    d = rng.randint(1, 7)
+    ctx = VariableContext.of_dimension(d)
+    huge = rng.random() < 0.25
+
+    def exponent():
+        e = rng.randint(1, 4)
+        return 10**20 + e if huge and rng.random() < 0.5 else e
+
+    powers = []
+    for _ in range(rng.randint(1, 6)):
+        support = sorted(rng.sample(range(d), rng.randint(1, d)))
+        powers.append(tuple((i, exponent()) for i in support))
+    if rng.random() < 0.5:
+        powers.append(rng.choice(powers))
+    if rng.random() < 0.5:
+        # variables added, exponents lowered: it contains the original
+        base = dict(rng.choice(powers))
+        for i in rng.sample(range(d), rng.randint(0, d)):
+            base[i] = max(1, base.get(i, 1) - rng.randint(0, 1))
+        powers.append(tuple(sorted(base.items())))
+    if rng.random() < 0.1:
+        powers.append(())
+    return Decomposition(ctx, tuple(IrreducibleComponent(ctx, p) for p in powers))
+
+
+class TestIntersection:
+    """The packed fold of Decomposition.intersection against the fold of
+    monomials.intersect on dense tuples."""
+
+    def test_random_component_lists(self):
+        rng = random.Random(918)
+        seen = {"repeated": 0, "redundant": 0, "zero": 0, "huge": 0}
+        for _ in range(400):
+            D = seeded_component_list(rng)
+            comps = D.components
+            seen["repeated"] += len(set(comps)) < len(comps)
+            seen["redundant"] += any(
+                a.contains(b) for a, b in itertools.permutations(comps, 2)
+            )
+            seen["zero"] += any(not c.powers for c in comps)
+            seen["huge"] += any(e > 10**20 for c in comps for _, e in c.powers)
+            assert D.intersection().rows == tuple_fold(D).rows, comps
+        assert min(seen.values()) > 0, seen
+
+    def test_empty_list_is_the_unit_ideal(self):
+        for d in range(1, 8):
+            D = Decomposition(VariableContext.of_dimension(d), ())
+            assert D.intersection().is_unit
+            assert D.intersection().rows == tuple_fold(D).rows
+
+    def test_zero_component_gives_the_zero_ideal(self):
+        D = Decomposition(X3, (comp(X3, {0: 2, 1: 10**20}), comp(X3, {})))
+        assert D.intersection().is_zero
+        assert D.intersection().rows == tuple_fold(D).rows
+
+    @pytest.mark.parametrize("name", ["C18", "C20", "K10"])
+    def test_route_agreement_graphs(self, name):
+        g = route_graph(name)
+        D = cover_decomposition(g)
+        rows = D.intersection().rows
+        assert rows == tuple_fold(D).rows
+        assert rows == weighted_edge_ideal(g).rows
 
 
 class TestHeightAndUnmixed:

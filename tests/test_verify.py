@@ -66,6 +66,26 @@ class TestCheckGraph:
         assert all(r.passed for r in results)
         assert len(calls) == 1
 
+    @pytest.mark.parametrize(
+        "graph",
+        [cycle_graph([2, 5, 3, 4, 2]), path_graph([1, 2, 1, 2])],
+        ids=["C5", "P5-mixed"],
+    )
+    def test_intersection_runs_once(self, graph, monkeypatch):
+        # routes that agree hold equal components, so one intersection
+        # checks both
+        calls = []
+        intersection = decompose.Decomposition.intersection
+
+        def counted(self):
+            calls.append(1)
+            return intersection(self)
+
+        monkeypatch.setattr(decompose.Decomposition, "intersection", counted)
+        results = check_graph(graph)
+        assert all(r.passed for r in results)
+        assert len(calls) == 1
+
     def test_uniform_weight_check_only_when_trivial(self):
         names = {r.name for r in check_graph(cycle_graph([2, 2, 2]))}
         assert "uniform-weight-power-identity" in names
@@ -82,6 +102,20 @@ class TestCheckGraph:
         results = check_graph(path_graph([2, 5]))
         byname = {r.name: r for r in results}
         assert not byname["decomposition-routes-agree"].passed
+        assert "routes disagree" in byname["decomposition-routes-agree"].detail
+
+    def test_detects_decomposition_missing_a_component(self, monkeypatch):
+        # both routes return the same list, so only the reconstruction
+        # leg can see that it no longer intersects back to the ideal
+        g = cycle_graph([2, 5, 3, 4, 2])
+        full = graphs.cover_decomposition(g)
+        short = decompose.Decomposition(full.context, full.components[1:])
+
+        monkeypatch.setattr(verify, "split_decompose", lambda *a, **k: short)
+        monkeypatch.setattr(verify, "cover_decomposition", lambda *a, **k: short)
+        check = {r.name: r for r in check_graph(g)}["decomposition-routes-agree"]
+        assert not check.passed
+        assert "do not intersect back to the ideal" in check.detail
 
 
 class TestCorpora:
