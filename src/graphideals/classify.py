@@ -17,9 +17,11 @@ criterion for its family:
 * paths: CM only at length 1, or length 3 with the middle edge weighing
   no more than both outer edges.
 
-:func:`classify_auto` dispatches in the order complete, cycle, path,
-tree, suspension and falls back to exhaustive cover enumeration with an
-unknown CM status.
+:data:`FAMILIES` maps each family name to its classifier, a function
+of the graph alone that raises :class:`FamilyMismatchError` outside the
+family.  The table is ordered complete, cycle, path, tree, suspension;
+:func:`classify_auto` tries the entries in that order and falls back to
+exhaustive cover enumeration with an unknown CM status.
 """
 
 from __future__ import annotations
@@ -158,15 +160,10 @@ def classify_cycle(n: int, weights) -> Verdict:
     )
 
 
-def _is_complete(graph: WeightedGraph) -> bool:
-    d = graph.vertex_count
-    return len(graph.edges) == d * (d - 1) // 2
-
-
 def classify_complete(graph: WeightedGraph) -> Verdict:
     """Complete graphs are unmixed and CM regardless of weights."""
     n = graph.vertex_count
-    if n < 2 or not _is_complete(graph):
+    if n < 2 or len(graph.edges) != n * (n - 1) // 2:
         raise FamilyMismatchError("not a complete graph on at least 2 vertices")
     return Verdict(
         "complete",
@@ -235,13 +232,6 @@ def suspension_split(graph: WeightedGraph) -> SuspensionDecomposition | None:
     return SuspensionDecomposition(tuple(whisker_of), tuple(whisker_of.items()))
 
 
-def _edge_weight(graph: WeightedGraph, a: int, b: int) -> int:
-    w = graph.adjacency[a].get(b)
-    if w is None:
-        raise ValueError(f"no edge between {a} and {b}")
-    return w
-
-
 def _validate_suspension(graph: WeightedGraph, dec: SuspensionDecomposition):
     whisker_of = dec.whisker_of()
     base = set(dec.base_vertices)
@@ -271,7 +261,7 @@ def _suspension_condition(graph: WeightedGraph, dec: SuspensionDecomposition):
         if u not in base or v not in base:
             continue
         for endpoint in (u, v):
-            wv = _edge_weight(graph, endpoint, whisker_of[endpoint])
+            wv = graph.adjacency[endpoint][whisker_of[endpoint]]
             if w > wv:
                 violations.append(
                     {
@@ -284,13 +274,22 @@ def _suspension_condition(graph: WeightedGraph, dec: SuspensionDecomposition):
     return not violations, violations
 
 
-def _decomposition_certificate(graph, dec) -> dict:
-    return {
-        "whiskers": {
-            graph.vertex_names[anchor]: graph.vertex_names[w]
-            for anchor, w in dec.whiskers
-        }
-    }
+def _suspension_verdict(
+    graph: WeightedGraph,
+    dec: SuspensionDecomposition,
+    family: str,
+    holds_text: str,
+    fails_text: str,
+) -> Verdict:
+    """CM, equivalently unmixed, exactly when the weight condition holds;
+    the certificate names the whiskers and any violations."""
+    holds, violations = _suspension_condition(graph, dec)
+    names = graph.vertex_names
+    certificate = {"whiskers": {names[anchor]: names[w] for anchor, w in dec.whiskers}}
+    if holds:
+        return Verdict(family, True, CM_YES, certificate, holds_text)
+    certificate["violations"] = violations
+    return Verdict(family, False, CM_NO, certificate, fails_text)
 
 
 def classify_suspension(graph: WeightedGraph, dec: SuspensionDecomposition) -> Verdict:
@@ -300,22 +299,11 @@ def classify_suspension(graph: WeightedGraph, dec: SuspensionDecomposition) -> V
     than the whisker edges at both endpoints.
     """
     _validate_suspension(graph, dec)
-    holds, violations = _suspension_condition(graph, dec)
-    certificate = _decomposition_certificate(graph, dec)
-    if holds:
-        return Verdict(
-            "suspension",
-            True,
-            CM_YES,
-            certificate,
-            "every base edge weighs no more than both incident whisker edges",
-        )
-    certificate["violations"] = violations
-    return Verdict(
+    return _suspension_verdict(
+        graph,
+        dec,
         "suspension",
-        False,
-        CM_NO,
-        certificate,
+        "every base edge weighs no more than both incident whisker edges",
         "some base edge outweighs an incident whisker edge",
     )
 
@@ -344,23 +332,12 @@ def classify_tree(graph: WeightedGraph) -> Verdict:
         )
     dec = suspension_split(graph)
     if dec is not None:
-        holds, violations = _suspension_condition(graph, dec)
-        cert = _decomposition_certificate(graph, dec)
-        if holds:
-            return Verdict(
-                "tree",
-                True,
-                CM_YES,
-                cert,
-                "the tree is a suspension whose base edges all weigh no more"
-                " than their incident whisker edges",
-            )
-        cert["violations"] = violations
-        return Verdict(
+        return _suspension_verdict(
+            graph,
+            dec,
             "tree",
-            False,
-            CM_NO,
-            cert,
+            "the tree is a suspension whose base edges all weigh no more"
+            " than their incident whisker edges",
             "the tree is a suspension but some base edge outweighs an"
             " incident whisker edge",
         )
@@ -373,23 +350,32 @@ def classify_tree(graph: WeightedGraph) -> Verdict:
     )
 
 
+def _trail_weights(graph: WeightedGraph, start: int, step: int) -> tuple[int, ...]:
+    """Edge weights along the trail that leaves ``start`` for ``step`` and
+    goes on through vertices of degree at most 2, until it reaches a leaf
+    or returns to ``start``."""
+    adjacency = graph.adjacency
+    seq = [adjacency[start][step]]
+    prev, cur = start, step
+    while cur != start:
+        nxt = [x for x in adjacency[cur] if x != prev]
+        if not nxt:
+            break
+        prev, cur = cur, nxt[0]
+        seq.append(adjacency[prev][cur])
+    return tuple(seq)
+
+
 def _path_weight_sequence(graph: WeightedGraph):
+    """Edge weights from the lower-indexed end of a path; None otherwise."""
     d = graph.vertex_count
     if d < 2 or len(graph.edges) != d - 1 or not graph.is_connected():
         return None
-    degrees = [graph.degree(v) for v in range(d)]
-    ends = [v for v in range(d) if degrees[v] == 1]
-    if len(ends) != 2 or any(deg > 2 for deg in degrees):
+    adjacency = graph.adjacency
+    if any(len(around) > 2 for around in adjacency):
         return None
-    seq = []
-    prev, cur = None, min(ends)
-    while True:
-        nxt = [x for x in graph.neighbors(cur) if x != prev]
-        if not nxt:
-            break
-        seq.append(_edge_weight(graph, cur, nxt[0]))
-        prev, cur = cur, nxt[0]
-    return tuple(seq)
+    start = next(v for v, around in enumerate(adjacency) if len(around) == 1)
+    return _trail_weights(graph, start, next(iter(adjacency[start])))
 
 
 def classify_path(graph: WeightedGraph) -> Verdict:
@@ -430,41 +416,52 @@ def classify_path(graph: WeightedGraph) -> Verdict:
 
 
 def cycle_weight_sequence(graph: WeightedGraph):
+    """Edge weights around a cycle from vertex 0 towards its lower-indexed
+    neighbour; None when the graph is not a cycle."""
     d = graph.vertex_count
     if d < 3 or len(graph.edges) != d or not graph.is_connected():
         return None
-    if any(graph.degree(v) != 2 for v in range(d)):
+    adjacency = graph.adjacency
+    if any(len(around) != 2 for around in adjacency):
         return None
-    seq = []
-    start, prev, cur = 0, None, 0
-    while True:
-        nxt = [x for x in graph.neighbors(cur) if x != prev]
-        step = nxt[0] if prev is not None else min(nxt)
-        seq.append(_edge_weight(graph, cur, step))
-        prev, cur = cur, step
-        if cur == start:
-            return tuple(seq)
+    return _trail_weights(graph, 0, min(adjacency[0]))
+
+
+def _classify_cycle_graph(graph: WeightedGraph) -> Verdict:
+    seq = cycle_weight_sequence(graph)
+    if seq is None:
+        raise FamilyMismatchError("not a cycle")
+    return classify_cycle(len(seq), seq)
+
+
+def _classify_suspension_graph(graph: WeightedGraph) -> Verdict:
+    dec = suspension_split(graph)
+    if dec is None:
+        raise FamilyMismatchError("no suspension structure")
+    return classify_suspension(graph, dec)
+
+
+FAMILIES = {
+    "complete": classify_complete,
+    "cycle": _classify_cycle_graph,
+    "path": classify_path,
+    "tree": classify_tree,
+    "suspension": _classify_suspension_graph,
+}
 
 
 def classify_auto(graph: WeightedGraph) -> Verdict:
-    """Dispatch to the most specific family classifier that applies.
+    """Verdict of the first :data:`FAMILIES` entry the graph belongs to.
 
-    Priority: complete, cycle, path, tree, suspension.  Anything else gets
-    a brute-force unmixedness verdict by enumerating minimal weighted
-    covers, with Cohen-Macaulayness reported as unknown.
+    Anything outside every family gets a brute-force unmixedness verdict
+    by enumerating minimal weighted covers, with Cohen-Macaulayness
+    reported as unknown.
     """
-    if graph.vertex_count >= 2 and _is_complete(graph):
-        return classify_complete(graph)
-    cycle_seq = cycle_weight_sequence(graph)
-    if cycle_seq is not None:
-        return classify_cycle(len(cycle_seq), cycle_seq)
-    if _path_weight_sequence(graph) is not None:
-        return classify_path(graph)
-    if _is_tree(graph):
-        return classify_tree(graph)
-    dec = suspension_split(graph)
-    if dec is not None:
-        return classify_suspension(graph, dec)
+    for classify in FAMILIES.values():
+        try:
+            return classify(graph)
+        except FamilyMismatchError:
+            pass
     result = is_unmixed(graph)
     if result.unmixed:
         certificate = {"minimal_cover_cardinality": result.cardinality}

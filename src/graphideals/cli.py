@@ -25,17 +25,7 @@ import sys
 from dataclasses import dataclass, field
 
 from . import __version__
-from .classify import (
-    FamilyMismatchError,
-    classify_auto,
-    classify_complete,
-    classify_cycle,
-    classify_path,
-    classify_suspension,
-    classify_tree,
-    cycle_weight_sequence,
-    suspension_split,
-)
+from .classify import FAMILIES, FamilyMismatchError, classify_auto
 from .decompose import (
     DEFAULT_COMPONENT_CAP,
     DecompositionLimitError,
@@ -237,27 +227,10 @@ def _cmd_unmixed(graph, options) -> dict:
 
 def _cmd_classify(graph, options) -> dict:
     family = options.get("family", "auto")
+    if family != "auto" and family not in FAMILIES:
+        raise CommandError("parse", f"unknown family {family!r}")
     try:
-        if family == "auto":
-            verdict = classify_auto(graph)
-        elif family == "cycle":
-            seq = cycle_weight_sequence(graph)
-            if seq is None:
-                raise FamilyMismatchError("not a cycle")
-            verdict = classify_cycle(len(seq), seq)
-        elif family == "complete":
-            verdict = classify_complete(graph)
-        elif family == "path":
-            verdict = classify_path(graph)
-        elif family == "tree":
-            verdict = classify_tree(graph)
-        elif family == "suspension":
-            dec = suspension_split(graph)
-            if dec is None:
-                raise FamilyMismatchError("no suspension structure")
-            verdict = classify_suspension(graph, dec)
-        else:
-            raise CommandError("parse", f"unknown family {family!r}")
+        verdict = classify_auto(graph) if family == "auto" else FAMILIES[family](graph)
     except FamilyMismatchError as exc:
         raise CommandError("validation", f"unsupported family: {exc}") from exc
     return {
@@ -504,7 +477,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("classify", help="family verdict: unmixed / Cohen-Macaulay")
     p.add_argument(
         "--family",
-        choices=("auto", "cycle", "complete", "path", "tree", "suspension"),
+        choices=("auto", *FAMILIES),
         default="auto",
     )
     p = add("primes", help="prime supports over the weighted edge ideal")

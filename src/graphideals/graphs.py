@@ -298,7 +298,8 @@ def minimize_cover(
     """Shrink a weighted cover to a minimal one below it.
 
     Phase 1 visits the vertices in ascending order once, deleting each
-    whose removal still leaves a cover; a vertex kept once stays needed,
+    whose removal still leaves a cover, that is, each whose incident edges
+    are all covered at their other endpoints; a vertex kept once stays needed,
     since deleting more vertices never restores an edge's cover.  Phase 2
     then raises each remaining weight, in ascending vertex order, to the
     largest value that keeps the cover property.  The result is minimal
@@ -308,9 +309,8 @@ def minimize_cover(
         raise ValueError("input is not a weighted vertex cover of this graph")
     entries = cover.powers_dict()
     for v in sorted(entries):
-        trial = {u: w for u, w in entries.items() if u != v}
-        if _covers(graph, trial):
-            entries = trial
+        if _max_feasible_weight(graph, entries, v) is None:
+            del entries[v]
     for v in sorted(entries):
         cap = _max_feasible_weight(graph, entries, v)
         if cap is not None:
@@ -530,33 +530,25 @@ def cycle_graph(weights: Iterable[int], names=None) -> WeightedGraph:
 def complete_graph(n: int, weights=1, names=None) -> WeightedGraph:
     """Complete graph on n vertices.
 
-    ``weights`` may be a single integer, a mapping {(i, j): w} on index
-    pairs i < j, or a sequence following itertools.combinations order.
+    ``weights`` is a single integer or a sequence following
+    itertools.combinations order.
     """
     if names is None:
         names = tuple(f"v{i + 1}" for i in range(n))
     pair_list = list(itertools.combinations(range(n), 2))
-    if isinstance(weights, int):
-        lookup = {p: weights for p in pair_list}
-    elif isinstance(weights, Mapping):
-        lookup = {tuple(sorted(p)): w for p, w in weights.items()}
-    else:
-        ws = list(weights)
-        if len(ws) != len(pair_list):
-            raise ValueError("weight sequence length must match the edge count")
-        lookup = dict(zip(pair_list, ws))
-    edges = tuple(Edge(u, v, lookup[(u, v)]) for u, v in pair_list)
+    ws = [weights] * len(pair_list) if isinstance(weights, int) else list(weights)
+    if len(ws) != len(pair_list):
+        raise ValueError("weight sequence length must match the edge count")
+    edges = tuple(Edge(u, v, w) for (u, v), w in zip(pair_list, ws))
     return WeightedGraph(tuple(names), edges)
 
 
-def suspend(
-    base: WeightedGraph, whisker_weights: Iterable[int], whisker_prefix: str = "w"
-) -> WeightedGraph:
+def suspend(base: WeightedGraph, whisker_weights: Iterable[int]) -> WeightedGraph:
     """Attach one new pendant vertex to every vertex of the base graph."""
     ws = list(whisker_weights)
     d = base.vertex_count
     if len(ws) != d:
         raise ValueError("need one whisker weight per base vertex")
-    names = base.vertex_names + tuple(f"{whisker_prefix}{i + 1}" for i in range(d))
+    names = base.vertex_names + tuple(f"w{i + 1}" for i in range(d))
     edges = list(base.edges) + [Edge(i, d + i, ws[i]) for i in range(d)]
     return WeightedGraph(names, tuple(edges))

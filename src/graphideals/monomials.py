@@ -62,11 +62,11 @@ class VariableContext:
                 raise ValueError("variable names must be nonempty strings")
 
     @classmethod
-    def of_dimension(cls, dimension: int, prefix: str = "X") -> "VariableContext":
-        """Context with the default names prefix1 .. prefixN."""
+    def of_dimension(cls, dimension: int) -> "VariableContext":
+        """Context with the default names X1 .. XN."""
         if dimension < 1:
             raise ValueError("dimension must be at least 1")
-        return cls(tuple(f"{prefix}{i + 1}" for i in range(dimension)))
+        return cls(tuple(f"X{i + 1}" for i in range(dimension)))
 
     @property
     def dimension(self) -> int:

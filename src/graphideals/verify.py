@@ -41,11 +41,10 @@ def random_weighted_graph(
     rng: random.Random,
     max_vertices: int = 5,
     max_weight: int = 3,
-    min_vertices: int = 1,
     edge_probability: float = 0.5,
 ) -> WeightedGraph:
     """A random simple graph with uniform random positive edge weights."""
-    d = rng.randint(min_vertices, max_vertices)
+    d = rng.randint(1, max_vertices)
     names = tuple(f"v{i + 1}" for i in range(d))
     edges = []
     for u, v in itertools.combinations(range(d), 2):

@@ -10,10 +10,12 @@ import random
 
 import pytest
 
+from graphideals import classify
 from graphideals.classify import (
     CM_NO,
     CM_UNKNOWN,
     CM_YES,
+    FAMILIES,
     FamilyMismatchError,
     SuspensionDecomposition,
     Verdict,
@@ -400,6 +402,37 @@ class TestAuto:
 
     def test_single_edge_routes_to_complete(self):
         assert classify_auto(path_graph([3])).family == "complete"
+
+    @staticmethod
+    def count_calls(monkeypatch, name):
+        calls = []
+        original = getattr(classify, name)
+
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(classify, name, counted)
+        return calls
+
+    def test_path_recognized_once(self, monkeypatch):
+        calls = self.count_calls(monkeypatch, "_path_weight_sequence")
+        assert classify_auto(path_graph([1, 2, 3])).family == "path"
+        assert len(calls) == 1
+
+    def test_tree_recognized_once(self, monkeypatch):
+        calls = self.count_calls(monkeypatch, "_is_tree")
+        # a star with five leaves: neither a path nor a suspension
+        g = WeightedGraph(tuple("habcde"), tuple((0, v, v) for v in range(1, 6)))
+        v = classify_auto(g)
+        assert (v.family, v.certificate) == (
+            "tree",
+            {"reason": "no valid suspension structure"},
+        )
+        assert len(calls) == 1
+
+    def test_families_in_priority_order(self):
+        assert list(FAMILIES) == ["complete", "cycle", "path", "tree", "suspension"]
 
     def test_cycle_weight_sequence(self):
         assert cycle_weight_sequence(cycle_graph([2, 5, 3, 4, 2])) == (

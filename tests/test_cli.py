@@ -7,6 +7,7 @@ import json
 import pytest
 
 from graphideals import cli
+from graphideals.classify import FAMILIES
 from graphideals.cli import (
     CommandRequest,
     Report,
@@ -15,6 +16,7 @@ from graphideals.cli import (
     report_from_json,
     run,
 )
+from graphideals.verify import exhaustive_weighted_graphs
 
 P2 = {
     "vertices": ["v1", "v2", "v3"],
@@ -334,6 +336,30 @@ class TestClassifyCommand:
         _, out, _ = invoke(["classify", c5, "--format", "json"])
         doc = json.loads(out)
         assert doc["payload"]["certificate"]["pattern"]["rotation"] == 0
+
+    def test_family_option_agrees_with_auto(self, tmp_path):
+        corpus = list(exhaustive_weighted_graphs(3, weights=(1, 2, 3)))
+        assert len(corpus) == 69
+        seen = set()
+        for i, g in enumerate(corpus):
+            path = tmp_path / f"g{i}.json"
+            path.write_text(json.dumps(g.to_json_dict()))
+
+            def classify(family):
+                return run(CommandRequest("classify", str(path), {"family": family}))
+
+            auto = classify("auto")
+            assert auto.status == "ok"
+            seen.add(auto.payload["family"])
+            for family in FAMILIES:
+                report = classify(family)
+                if family == auto.payload["family"]:
+                    assert report == auto
+                elif report.status == "ok":
+                    assert report.payload["family"] == family
+                else:
+                    assert report.payload["error_kind"] == "validation"
+        assert seen == {"complete", "path", "tree", "generic"}
 
 
 class TestPrimesCommand:

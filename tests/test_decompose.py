@@ -332,11 +332,17 @@ class TestRouteAgreement:
 
 
 def tuple_fold(D):
-    """The intersection folded on dense tuples, one component at a time."""
-    acc = MonomialIdeal.unit(D.context)
-    for c in D.components:
-        acc = intersect(acc, c.ideal())
-    return acc
+    """The intersection on dense tuples, folded pairwise in a balanced tree.
+
+    A left fold grows one ever larger ideal and re-sweeps it per
+    component; pairing neighbours keeps both operands of each
+    ``intersect`` small until the last levels.
+    """
+    ideals = [c.ideal() for c in D.components] or [MonomialIdeal.unit(D.context)]
+    while len(ideals) > 1:
+        paired = [intersect(a, b) for a, b in zip(ideals[::2], ideals[1::2])]
+        ideals = paired + ideals[len(paired) * 2 :]
+    return ideals[0]
 
 
 def seeded_component_list(rng):

@@ -1,6 +1,7 @@
 """Weighted graphs, weighted covers, minimization, enumeration, primes."""
 
 import itertools
+import random
 
 import pytest
 
@@ -8,6 +9,8 @@ from graphideals.decompose import IrreducibleComponent, split_decompose
 from graphideals.graphs import (
     GraphValidationError,
     WeightedGraph,
+    _covers,
+    _max_feasible_weight,
     associated_primes,
     complete_graph,
     cover_decomposition,
@@ -27,6 +30,7 @@ from graphideals.graphs import (
     weighted_edge_ideal,
 )
 from graphideals.monomials import MonomialIdeal, ideal_eq
+from graphideals.verify import exhaustive_weighted_graphs, random_weighted_graph
 
 P2 = path_graph([2, 5])
 P2_EQ = path_graph([2, 2])
@@ -210,7 +214,52 @@ class TestCoverIdeal:
             assert lhs == rhs
 
 
+def rescan_minimize(graph, cover):
+    """The minimization by definition: phase 1 tries each deletion by
+    rescanning every edge of the graph."""
+    entries = cover.powers_dict()
+    for v in sorted(entries):
+        trial = {u: w for u, w in entries.items() if u != v}
+        if _covers(graph, trial):
+            entries = trial
+    for v in sorted(entries):
+        cap = _max_feasible_weight(graph, entries, v)
+        if cap is not None:
+            entries[v] = cap
+    return IrreducibleComponent(graph.context, tuple(entries.items()))
+
+
+def seeded_cover(graph, rng):
+    """A random weighted cover: random entries, then one endpoint of each
+    edge left uncovered, at a weight up to the edge's."""
+    entries = {}
+    for v in range(graph.vertex_count):
+        if graph.degree(v) and rng.random() < 0.6:
+            entries[v] = rng.randint(1, max(graph.incident_weights(v)))
+    for u, v, w in graph.edges:
+        if min(entries.get(u, w + 1), entries.get(v, w + 1)) > w:
+            x = rng.choice((u, v))
+            entries[x] = min(entries.get(x, w), rng.randint(1, w))
+    return IrreducibleComponent(graph.context, tuple(entries.items()))
+
+
 class TestMinimize:
+    def test_local_deletion_matches_rescan(self):
+        rng = random.Random(4807)
+        corpus = list(exhaustive_weighted_graphs(4, weights=(1, 2, 3)))
+        corpus += [
+            random_weighted_graph(rng, max_vertices=8, max_weight=4)
+            for _ in range(3000)
+        ]
+        deleted = 0
+        for g in corpus:
+            c = seeded_cover(g, rng)
+            assert is_weighted_cover(g, c)
+            got = minimize_cover(g, c)
+            assert got == rescan_minimize(g, c), (g, c)
+            deleted += len(got.powers) < len(c.powers)
+        assert deleted > 1000, deleted
+
     def test_removes_superfluous_vertex(self):
         got = minimize_cover(C5, cover({0: 2, 1: 5, 3: 3, 4: 2}))
         assert got == cover({0: 2, 1: 5, 3: 3})
