@@ -19,11 +19,8 @@ from .monomials import (
     ideal_eq,
     ideal_leq,
     intersect,
-    is_m_irreducible,
-    lcm_monomial,
     m_radical,
     member,
-    minimal_generators,
     polarize,
 )
 from .decompose import (
@@ -48,7 +45,6 @@ from .graphs import (
     enumerate_minimal_covers,
     is_unmixed,
     is_weighted_cover,
-    m_height_and_dimension,
     minimal_primes,
     minimal_vertex_covers,
     minimize_cover,
@@ -71,6 +67,5 @@ from .classify import (
     classify_suspension,
     classify_tree,
     cycle_weight_sequence,
-    is_trivially_weighted,
     recognize_suspensions,
 )

@@ -76,11 +76,6 @@ class Verdict:
             raise ValueError("a Cohen-Macaulay verdict requires unmixedness")
 
 
-def is_trivially_weighted(graph: WeightedGraph) -> bool:
-    """All edge weights equal (edgeless graphs count as trivially weighted)."""
-    return len(set(graph.weights())) <= 1
-
-
 def _validate_weights(weights):
     for w in weights:
         if not isinstance(w, int) or isinstance(w, bool) or w < 1:

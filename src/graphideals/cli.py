@@ -430,11 +430,6 @@ def render(report: Report, fmt: str = "text") -> str:
     return "\n".join(_text_lines(report.payload))
 
 
-def report_from_json(text: str) -> Report:
-    data = json.loads(text)
-    return Report(data["status"], data["payload"], data["diagnostics"])
-
-
 def _at_least_one(text: str) -> int:
     try:
         value = int(text)

@@ -82,16 +82,6 @@ class IrreducibleComponent:
                 raise ValueError(f"variable index {i} out of range")
         object.__setattr__(self, "powers", powers)
 
-    @classmethod
-    def from_ideal(cls, ideal: MonomialIdeal) -> "IrreducibleComponent":
-        powers = []
-        for r in ideal.rows:
-            support = [(i, e) for i, e in enumerate(r) if e > 0]
-            if len(support) != 1:
-                raise ValueError("ideal is not m-irreducible")
-            powers.append(support[0])
-        return cls(ideal.context, tuple(powers))
-
     @property
     def support(self) -> tuple[int, ...]:
         return tuple(i for i, _ in self.powers)

@@ -73,19 +73,27 @@ class WeightedGraph:
         object.__setattr__(self, "vertex_names", names)
         if not names:
             raise GraphValidationError("bad-name", "graph needs at least one vertex")
-        if len(set(names)) != len(names):
-            raise GraphValidationError("bad-name", "vertex names must be distinct")
+        # types first: an unhashable name would break the distinctness test
         for n in names:
             if not isinstance(n, str) or not n:
                 raise GraphValidationError(
                     "bad-name", "vertex names must be nonempty strings"
                 )
+        if len(set(names)) != len(names):
+            raise GraphValidationError("bad-name", "vertex names must be distinct")
         d = len(names)
         normalized = []
         seen_pairs = set()
         for e in self.edges:
-            u, v, w = e
-            if not (isinstance(u, int) and isinstance(v, int)):
+            try:
+                u, v, w = e
+            except (TypeError, ValueError):
+                raise GraphValidationError(
+                    "bad-schema", f"an edge must be a (u, v, w) triple, got {e!r}"
+                ) from None
+            if not (isinstance(u, int) and isinstance(v, int)) or (
+                isinstance(u, bool) or isinstance(v, bool)
+            ):
                 raise GraphValidationError("bad-index", "edge endpoints must be ints")
             if not (0 <= u < d and 0 <= v < d):
                 raise GraphValidationError(
@@ -492,17 +500,6 @@ def minimal_primes(graph: WeightedGraph) -> list[tuple[int, ...]]:
 def associated_primes(graph: WeightedGraph) -> list[tuple[int, ...]]:
     """Supports of the minimal weighted covers, deduplicated and sorted."""
     return sorted({c.support for c in enumerate_minimal_covers(graph)})
-
-
-def m_height_and_dimension(graph: WeightedGraph) -> tuple[int, int]:
-    """(m-height of the weighted edge ideal, dimension of the quotient).
-
-    The m-height is the smallest minimal-cover cardinality, weighted or
-    not; dimension is vertex count minus that.  Edgeless graphs give
-    (0, d).
-    """
-    height = min(len(s) for s in minimal_vertex_covers(graph))
-    return height, graph.vertex_count - height
 
 
 def path_graph(weights: Iterable[int], names=None) -> WeightedGraph:

@@ -6,23 +6,30 @@ enumeration time.  Vectors in one call must share a single dimension;
 their callers' context checks.  Callers reach the kernels through this
 module's attributes (``kernels.minimalize(...)``), so the benchmark's
 tracer sees every call.
+
+Only the pure-Python implementation exists.  ``available``, ``active``
+and ``use`` are kept for perfbench, whose report stamp names the kernel
+implementation and whose raw-kernel timings run under each one.
 """
 
 import operator
 
 
 def available():
-    """Names of the importable implementations."""
+    """Names of the importable implementations, for perfbench's stamp."""
     return ("python",)
 
 
 def active():
-    """Name of the implementation in use."""
+    """Name of the implementation in use, for perfbench's stamp."""
     return "python"
 
 
 def use(name):
-    """Select an implementation by name; only ``"python"`` exists."""
+    """Select an implementation for perfbench's raw-kernel timings.
+
+    Only ``"python"`` exists.
+    """
     if name != "python":
         raise ValueError(
             f"unknown kernel implementation {name!r}; available: {available()}"

@@ -78,18 +78,6 @@ class VariableContext:
     def one(self) -> "Monomial":
         return Monomial(self, (0,) * self.dimension)
 
-    def variable(self, index: int, power: int = 1) -> "Monomial":
-        """The pure power names[index]**power as a monomial."""
-        exps = [0] * self.dimension
-        exps[index] = power
-        return Monomial(self, tuple(exps))
-
-    def monomial_from_powers(self, powers: Mapping[int, int]) -> "Monomial":
-        exps = [0] * self.dimension
-        for i, e in powers.items():
-            exps[i] = e
-        return Monomial(self, tuple(exps))
-
 
 @dataclass(frozen=True)
 class Monomial:
@@ -110,14 +98,6 @@ class Monomial:
     @property
     def is_one(self) -> bool:
         return not any(self.exponents)
-
-    def pure_power_variable(self) -> int | None:
-        """Index of the single supporting variable, or None.
-
-        The monomial 1 has empty support and returns None as well.
-        """
-        support = [i for i, e in enumerate(self.exponents) if e > 0]
-        return support[0] if len(support) == 1 else None
 
     def __str__(self) -> str:
         if self.is_one:
@@ -181,24 +161,6 @@ def divides(m: Monomial, n: Monomial) -> bool:
     return kernels.divides(m.exponents, n.exponents)
 
 
-def lcm_monomial(m: Monomial, n: Monomial) -> Monomial:
-    """Least common multiple: componentwise maximum of exponents."""
-    _same_context(m, n)
-    return Monomial(m.context, kernels.lcm(m.exponents, n.exponents))
-
-
-def minimal_generators(
-    context: VariableContext, generators: Iterable[Monomial]
-) -> MonomialIdeal:
-    """Canonicalize a generator list into an ideal."""
-    rows = []
-    for g in generators:
-        if g.context != context:
-            raise ContextMismatchError("all generators must share the ideal's context")
-        rows.append(g.exponents)
-    return MonomialIdeal(context, rows)
-
-
 def member(ideal: MonomialIdeal, m: Monomial) -> bool:
     """Ideal membership: some generator divides m.
 
@@ -239,22 +201,6 @@ def bracket_power(ideal: MonomialIdeal, a: int) -> MonomialIdeal:
         raise ValueError("bracket power exponent must be a positive integer")
     rows = [tuple(e * a for e in r) for r in ideal.rows]
     return MonomialIdeal(ideal.context, rows)
-
-
-def is_m_irreducible(ideal: MonomialIdeal) -> bool:
-    """True when every minimal generator is a pure power of its own variable.
-
-    Equivalently the ideal is generated by pure powers of pairwise distinct
-    variables.  The zero ideal qualifies (empty set of pure powers); the
-    unit ideal does not, since 1 is not a positive power of any variable.
-    """
-    seen = set()
-    for r in ideal.rows:
-        support = [i for i, e in enumerate(r) if e > 0]
-        if len(support) != 1 or support[0] in seen:
-            return False
-        seen.add(support[0])
-    return True
 
 
 def polarize(

@@ -26,7 +26,6 @@ from graphideals.classify import (
     classify_suspension,
     classify_tree,
     cycle_weight_sequence,
-    is_trivially_weighted,
     recognize_suspensions,
     suspension_split,
 )
@@ -58,20 +57,6 @@ class TestVerdictValue:
     def test_cm_value_restricted(self):
         with pytest.raises(ValueError):
             Verdict("cycle", True, "maybe", {}, "broken")
-
-
-class TestTriviallyWeighted:
-    def test_uniform(self):
-        assert is_trivially_weighted(cycle_graph([2, 2, 2]))
-
-    def test_mixed_weights(self):
-        assert not is_trivially_weighted(path_graph([1, 2]))
-
-    def test_single_edge(self):
-        assert is_trivially_weighted(path_graph([7]))
-
-    def test_edgeless_convention(self):
-        assert is_trivially_weighted(WeightedGraph(("a",), ()))
 
 
 class TestCycleVerdicts:

@@ -13,7 +13,6 @@ from graphideals.cli import (
     Report,
     main,
     render,
-    report_from_json,
     run,
 )
 from graphideals.verify import exhaustive_weighted_graphs
@@ -68,6 +67,11 @@ def c5_mixed(tmp_path):
     path = tmp_path / "c5m.json"
     path.write_text(json.dumps(C5_MIXED))
     return str(path)
+
+
+def report_from_json(text):
+    data = json.loads(text)
+    return Report(data["status"], data["payload"], data["diagnostics"])
 
 
 def invoke(argv, stdin=None):

@@ -20,7 +20,6 @@ from graphideals.graphs import (
     enumerate_minimal_covers,
     is_unmixed,
     is_weighted_cover,
-    m_height_and_dimension,
     minimal_primes,
     minimal_vertex_covers,
     minimize_cover,
@@ -83,6 +82,30 @@ class TestValidation:
         with pytest.raises(GraphValidationError) as err:
             WeightedGraph(("a", "b"), ((0, 2, 1),))
         assert err.value.reason == "bad-index"
+
+    @pytest.mark.parametrize(
+        "names", [([1],), ({"a": 1}, "b"), (None,)], ids=["list", "dict", "none"]
+    )
+    def test_unhashable_or_non_string_name_rejected(self, names):
+        with pytest.raises(GraphValidationError) as err:
+            WeightedGraph(names, ())
+        assert err.value.reason == "bad-name"
+
+    @pytest.mark.parametrize(
+        "edge", [(False, True, 1), (0, True, 1), (True, 0, 1)], ids=str
+    )
+    def test_bool_endpoint_rejected(self, edge):
+        with pytest.raises(GraphValidationError) as err:
+            WeightedGraph(("a", "b"), (edge,))
+        assert err.value.reason == "bad-index"
+
+    @pytest.mark.parametrize(
+        "edge", [(0, 1), (0, 1, 1, 1), 7, None], ids=["pair", "quad", "int", "none"]
+    )
+    def test_non_triple_edge_rejected(self, edge):
+        with pytest.raises(GraphValidationError) as err:
+            WeightedGraph(("a", "b"), (edge,))
+        assert err.value.reason == "bad-schema"
 
     def test_unknown_field_rejected(self):
         with pytest.raises(GraphValidationError) as err:
@@ -424,22 +447,6 @@ class TestPrimes:
 
     def test_associated_primes_triangle(self):
         assert associated_primes(C3) == [(0, 1), (0, 2), (1, 2)]
-
-
-class TestHeightDimension:
-    def test_trivial_four_cycle(self):
-        assert m_height_and_dimension(cycle_graph([1] * 4)) == (2, 2)
-
-    def test_complete(self):
-        for n in (2, 3, 4, 5):
-            assert m_height_and_dimension(complete_graph(n, 2)) == (n - 1, 1)
-
-    def test_long_path(self):
-        # four edges, five vertices
-        assert m_height_and_dimension(path_graph([1] * 4))[1] == 3
-
-    def test_edgeless(self):
-        assert m_height_and_dimension(edgeless(4)) == (0, 4)
 
 
 class TestBuilders:

@@ -15,11 +15,8 @@ from graphideals.monomials import (
     ideal_eq,
     ideal_leq,
     intersect,
-    is_m_irreducible,
-    lcm_monomial,
     m_radical,
     member,
-    minimal_generators,
     polarize,
 )
 
@@ -29,6 +26,22 @@ X2 = VariableContext.of_dimension(2)
 
 def ideal(ctx, *rows):
     return MonomialIdeal(ctx, rows)
+
+
+def is_m_irreducible(ideal: MonomialIdeal) -> bool:
+    """Oracle: every minimal generator is a pure power of its own variable.
+
+    Equivalently the ideal is generated by pure powers of pairwise distinct
+    variables.  The zero ideal qualifies (empty set of pure powers); the
+    unit ideal does not, since 1 is not a positive power of any variable.
+    """
+    seen = set()
+    for r in ideal.rows:
+        support = [i for i, e in enumerate(r) if e > 0]
+        if len(support) != 1 or support[0] in seen:
+            return False
+        seen.add(support[0])
+    return True
 
 
 class TestContext:
@@ -43,12 +56,6 @@ class TestContext:
     def test_rejects_duplicate_names(self):
         with pytest.raises(ValueError):
             VariableContext(("a", "a"))
-
-    def test_variable_helper(self):
-        assert X3.variable(1, 5).exponents == (0, 5, 0)
-
-    def test_monomial_from_powers(self):
-        assert X3.monomial_from_powers({0: 2, 2: 1}).exponents == (2, 0, 1)
 
 
 class TestMonomial:
@@ -73,11 +80,6 @@ class TestMonomial:
         assert str(X3.monomial((1, 0, 1))) == "X1*X3"
         assert str(X3.one()) == "1"
 
-    def test_pure_power_variable(self):
-        assert X3.monomial((0, 4, 0)).pure_power_variable() == 1
-        assert X3.monomial((1, 1, 0)).pure_power_variable() is None
-        assert X3.one().pure_power_variable() is None
-
 
 class TestDivides:
     def test_divides_basic(self):
@@ -95,18 +97,19 @@ class TestDivides:
 
 
 class TestLcm:
+    # the lcm of two monomials generates the meet of their principal ideals
     def test_lcm_basic(self):
         # lcm(X1^2*X2, X2^3*X3) = X1^2*X2^3*X3
-        got = lcm_monomial(X3.monomial((2, 1, 0)), X3.monomial((0, 3, 1)))
-        assert got.exponents == (2, 3, 1)
+        got = intersect(ideal(X3, (2, 1, 0)), ideal(X3, (0, 3, 1)))
+        assert got.rows == ((2, 3, 1),)
 
     def test_lcm_with_one(self):
-        m = X3.monomial((4, 0, 2))
-        assert lcm_monomial(m, X3.one()) == m
+        m = ideal(X3, (4, 0, 2))
+        assert intersect(m, ideal(X3, (0, 0, 0))) == m
 
     def test_lcm_idempotent(self):
-        m = X3.monomial((1, 2, 3))
-        assert lcm_monomial(m, m) == m
+        m = ideal(X3, (1, 2, 3))
+        assert intersect(m, m) == m
 
 
 class TestIdealRows:
@@ -141,15 +144,6 @@ class TestMinimalGenerators:
 
     def test_empty_is_zero_ideal(self):
         assert ideal(X2).is_zero
-
-    def test_minimal_generators_function(self):
-        gens = [X2.monomial((2, 0)), X2.monomial((3, 0)), X2.monomial((2, 0))]
-        got = minimal_generators(X2, gens)
-        assert got.rows == ((2, 0),)
-
-    def test_context_mismatch_rejected(self):
-        with pytest.raises(ContextMismatchError):
-            minimal_generators(X2, [X3.monomial((1, 0, 0))])
 
     def test_canonical_order_by_degree_then_lex(self):
         got = ideal(X3, (0, 5, 5), (2, 2, 0))
@@ -252,6 +246,7 @@ class TestBracketPower:
 
 
 class TestIrreducibility:
+    # goldens for the is_m_irreducible oracle of the decomposition tests
     def test_pure_powers_distinct_vars(self):
         ctx = VariableContext.of_dimension(5)
         I = MonomialIdeal(

@@ -32,11 +32,11 @@ from graphideals.monomials import (
     ideal_eq,
     ideal_leq,
     intersect,
-    is_m_irreducible,
     m_radical,
     member,
     polarize,
 )
+from test_monomials import is_m_irreducible
 
 
 @st.composite
