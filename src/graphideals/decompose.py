@@ -122,11 +122,18 @@ class IrreducibleComponent:
 
 def _powers_leq(small, big) -> bool:
     # P(small) <= P(big): support(small) inside support(big), big exponents
-    # bounded by small exponents on the shared support
-    lookup = dict(big)
+    # bounded by small exponents on the shared support; one merge walk,
+    # as both tuples are sorted by index
+    if len(small) > len(big):
+        return False
+    rest = iter(big)
     for i, e in small:
-        be = lookup.get(i)
-        if be is None or be > e:
+        for j, f in rest:
+            if j >= i:
+                break
+        else:
+            return False
+        if j != i or f > e:
             return False
     return True
 

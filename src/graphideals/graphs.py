@@ -69,7 +69,13 @@ class WeightedGraph:
     edges: tuple[Edge, ...]
 
     def __post_init__(self):
-        names = tuple(self.vertex_names)
+        try:
+            names = tuple(self.vertex_names)
+            edges = tuple(self.edges)
+        except TypeError:
+            raise GraphValidationError(
+                "bad-schema", "vertex names and edges must each be a sequence"
+            ) from None
         object.__setattr__(self, "vertex_names", names)
         if not names:
             raise GraphValidationError("bad-name", "graph needs at least one vertex")
@@ -84,7 +90,7 @@ class WeightedGraph:
         d = len(names)
         normalized = []
         seen_pairs = set()
-        for e in self.edges:
+        for e in edges:
             try:
                 u, v, w = e
             except (TypeError, ValueError):

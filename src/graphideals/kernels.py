@@ -7,6 +7,12 @@ their callers' context checks.  Callers reach the kernels through this
 module's attributes (``kernels.minimalize(...)``), so the benchmark's
 tracer sees every call.
 
+Vectors stay dense tuples.  Each one also gets a support mask, bit i set
+when exponent i is positive: a divisor's support lies inside its
+multiple's, so the int test ``t & ~s`` rejects most non-dividing pairs
+before any tuple comparison (the "short exponent vector" filter of
+Bachmann & Schönemann, ISSAC 1998).
+
 Only the pure-Python implementation exists.  ``available``, ``active``
 and ``use`` are kept for perfbench, whose report stamp names the kernel
 implementation and whose raw-kernel timings run under each one.
@@ -52,12 +58,13 @@ def lcm(a, b):
     return tuple(x if x >= y else y for x, y in zip(a, b))
 
 
-def any_divides(gens, m):
-    """True if some vector in gens divides m componentwise."""
-    for g in gens:
-        if divides(g, m):
-            return True
-    return False
+def support_mask(vec):
+    """The int with bit i set exactly when vec[i] > 0."""
+    mask = 0
+    for i, e in enumerate(vec):
+        if e:
+            mask |= 1 << i
+    return mask
 
 
 def minimalize(vecs):
@@ -65,23 +72,23 @@ def minimalize(vecs):
 
     Deduplicates, then drops every vector some other vector divides.  A
     strict divisor has strictly smaller total degree, so one ascending
-    sweep over the graded-lex ordering suffices.
+    sweep over the graded-lex ordering suffices.  A candidate is compared
+    only with the kept vectors whose support mask lies inside its own.
     """
     ordered = sorted(set(vecs), key=grlex_key)
-    if ordered:
-        dim = len(ordered[0])
-        for v in ordered:
-            if len(v) != dim:
-                raise ValueError("exponent vectors must share one dimension")
+    dim = len(ordered[0]) if ordered else 0
     kept = []
+    kept_masks = []
     for v in ordered:
-        dominated = False
-        for k in kept:
-            if divides(k, v):
-                dominated = True
+        if len(v) != dim:
+            raise ValueError("exponent vectors must share one dimension")
+        outside = ~support_mask(v)
+        for t, k in zip(kept_masks, kept):
+            if not t & outside and divides(k, v):
                 break
-        if not dominated:
+        else:
             kept.append(v)
+            kept_masks.append(~outside)
     return kept
 
 

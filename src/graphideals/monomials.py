@@ -6,6 +6,9 @@ here, so no base ring is represented).  A :class:`Monomial` is a dense
 exponent vector over one context, and a :class:`MonomialIdeal` stores the
 exponent rows of its unique minimal generating set in graded-lexicographic
 order; construction canonicalizes, so structural equality is ideal equality.
+Construction also keeps each row's support mask (``kernels.support_mask``)
+in a private attribute; :func:`member` and :func:`ideal_leq` test masks
+before exponents, since a divisor's support lies inside its multiple's.
 
 Conventions: the zero ideal is the empty generator list, the unit ideal is
 generated by the monomial 1 (the zero row).
@@ -24,7 +27,7 @@ class ContextMismatchError(ValueError):
 
 
 def _same_context(a, b):
-    if a.context != b.context:
+    if a.context is not b.context and a.context != b.context:
         raise ContextMismatchError(
             f"operands use different variable contexts: {a.context.names} vs {b.context.names}"
         )
@@ -125,8 +128,11 @@ class MonomialIdeal:
 
     def __post_init__(self):
         d = self.context.dimension
-        rows = [_exponent_row(r, d) for r in self.rows]
-        object.__setattr__(self, "rows", tuple(kernels.minimalize(rows)))
+        rows = tuple(kernels.minimalize([_exponent_row(r, d) for r in self.rows]))
+        object.__setattr__(self, "rows", rows)
+        # not a field: equality, hashing and repr see only (context, rows)
+        masks = map(kernels.support_mask, rows)
+        object.__setattr__(self, "_masked_rows", tuple(zip(masks, rows)))
 
     @classmethod
     def zero(cls, context: VariableContext) -> "MonomialIdeal":
@@ -161,20 +167,38 @@ def divides(m: Monomial, n: Monomial) -> bool:
     return kernels.divides(m.exponents, n.exponents)
 
 
+def _all_divided(ideal: MonomialIdeal, masked_rows) -> bool:
+    """Every row has a divisor among the ideal's generators.
+
+    Rows come as (support mask, row) pairs.  A divisor's mask lies inside
+    its multiple's, so only generators passing that int test are compared
+    exponent by exponent.
+    """
+    gens = ideal._masked_rows
+    for mask, row in masked_rows:
+        outside = ~mask
+        for t, g in gens:
+            if not t & outside and kernels.divides(g, row):
+                break
+        else:
+            return False
+    return True
+
+
 def member(ideal: MonomialIdeal, m: Monomial) -> bool:
     """Ideal membership: some generator divides m.
 
     The zero ideal contains no monomials (every monomial is nonzero).
     """
     _same_context(ideal, m)
-    return kernels.any_divides(ideal.rows, m.exponents)
+    row = m.exponents
+    return _all_divided(ideal, ((kernels.support_mask(row), row),))
 
 
 def ideal_leq(smaller: MonomialIdeal, larger: MonomialIdeal) -> bool:
     """Containment smaller <= larger, decided on generators."""
     _same_context(smaller, larger)
-    rows = larger.rows
-    return all(kernels.any_divides(rows, r) for r in smaller.rows)
+    return _all_divided(larger, smaller._masked_rows)
 
 
 def ideal_eq(a: MonomialIdeal, b: MonomialIdeal) -> bool:

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import time
 
 import pytest
 
@@ -324,6 +325,23 @@ class TestRouteAgreement:
         D = split_decompose(weighted_edge_ideal(g))
         assert len(D) == 4
         assert D.components == cover_decomposition(g).components
+
+    def test_star_ideal_builds_faster_than_it_splits(self):
+        # edges of a star never divide each other; the support-filtered
+        # sweep compares none of them exponent by exponent, so building
+        # the ideal must cost less than decomposing it
+        n = 400
+        g = weighted_graph(n + 1, [Edge(0, i + 1, 1 + i % 3) for i in range(n)])
+        build = split = float("inf")
+        for _ in range(2):
+            t0 = time.perf_counter()
+            I = weighted_edge_ideal(g)
+            t1 = time.perf_counter()
+            D = split_decompose(I)
+            t2 = time.perf_counter()
+            build, split = min(build, t1 - t0), min(split, t2 - t1)
+        assert len(D) == 4
+        assert build < split, (build, split)
 
 
 def tuple_fold(D):

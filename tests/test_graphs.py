@@ -92,6 +92,16 @@ class TestValidation:
         assert err.value.reason == "bad-name"
 
     @pytest.mark.parametrize(
+        "names, edges",
+        [(5, ()), (("a", "b"), 5), (("a", "b"), None)],
+        ids=["int-names", "int-edges", "none-edges"],
+    )
+    def test_non_sequence_names_or_edges_rejected(self, names, edges):
+        with pytest.raises(GraphValidationError) as err:
+            WeightedGraph(names, edges)
+        assert err.value.reason == "bad-schema"
+
+    @pytest.mark.parametrize(
         "edge", [(False, True, 1), (0, True, 1), (True, 0, 1)], ids=str
     )
     def test_bool_endpoint_rejected(self, edge):

@@ -1,4 +1,5 @@
-"""Contract of the exponent-vector kernels, of the split route's packed
+"""Contract of the exponent-vector kernels, of the support-masked ideal
+layer against the dense definitions, of the split route's packed
 monomials and pruning, and of the component pruning the tests use as an
 oracle."""
 
@@ -14,7 +15,7 @@ from graphideals.decompose import (
     _split_prune,
     split_decompose,
 )
-from graphideals.monomials import MonomialIdeal, VariableContext
+from graphideals.monomials import MonomialIdeal, VariableContext, ideal_leq, member
 
 X3 = VariableContext.of_dimension(3)
 
@@ -38,6 +39,42 @@ def brute_minimalize(vecs):
     return kept
 
 
+def dense_divides(a, b):
+    return all(x <= y for x, y in zip(a, b))
+
+
+def dense_minimalize(vecs):
+    """The graded-lex antichain sweep on dense tuples, with no support
+    filter: each vector is compared with every kept one."""
+    kept = []
+    for v in sorted(set(vecs), key=lambda v: (sum(v), v)):
+        if not any(dense_divides(k, v) for k in kept):
+            kept.append(v)
+    return kept
+
+
+def dense_any_divides(gens, m):
+    return any(dense_divides(g, m) for g in gens)
+
+
+def dense_ideal_leq(smaller, larger):
+    return all(dense_any_divides(larger.rows, r) for r in smaller.rows)
+
+
+def dense_powers_leq(small, big):
+    """The component order by its definition: the ideal of ``small`` lies
+    inside that of ``big``, decided on dense pure-power rows."""
+    dim = 1 + max((i for i, _ in small + big), default=0)
+    rows = []
+    for powers in (small, big):
+        rows.append([])
+        for i, e in powers:
+            row = [0] * dim
+            row[i] = e
+            rows[-1].append(tuple(row))
+    return all(dense_any_divides(rows[1], r) for r in rows[0])
+
+
 def random_vecs(rng, count, dim, hi):
     return [
         tuple(rng.randint(0, hi) for _ in range(dim)) for _ in range(count)
@@ -52,10 +89,10 @@ class TestKernelContract:
     def test_lcm(self, impl):
         assert impl.lcm((2, 1, 0), (0, 3, 1)) == (2, 3, 1)
 
-    def test_any_divides(self, impl):
-        gens = [(2, 0), (0, 5)]
-        assert impl.any_divides(gens, (3, 1))
-        assert not impl.any_divides(gens, (1, 4))
+    def test_support_mask(self, impl):
+        assert impl.support_mask((0, 3, 0, 1)) == 0b1010
+        assert impl.support_mask((0, 0)) == 0
+        assert impl.support_mask((0,) * 69 + (10**20,)) == 1 << 69
 
     def test_grlex_key_orders_degree_first(self, impl):
         assert impl.grlex_key((0, 3)) < impl.grlex_key((2, 2))
@@ -92,6 +129,116 @@ class TestKernelContract:
     def test_minimalize_dimension_mismatch_raises(self, impl):
         with pytest.raises(ValueError):
             impl.minimalize([(1, 0), (1, 0, 0)])
+
+
+SMALL = (0, 1, 2, 3)
+HUGE = (0, 10**20 - 1, 10**20, 10**20 + 1)
+
+
+def oracle_rows(rng, dim, shape, values):
+    """Seeded exponent rows of one shape, with multiples, repeats and
+    sometimes the zero row mixed in.  ``dense`` rows draw every exponent from
+    ``values``; ``star`` rows raise variable 0 and one other variable, as
+    a star's edges do; ``sparse`` rows raise one to three variables."""
+    rows = []
+    for _ in range(rng.randint(0, 24)):
+        if shape == "dense":
+            row = [rng.choice(values) for _ in range(dim)]
+        else:
+            row = [0] * dim
+            if shape == "star":
+                raised = [0, rng.randrange(dim)]
+            else:
+                raised = rng.sample(range(dim), min(dim, rng.randint(1, 3)))
+            for i in raised:
+                row[i] = rng.choice(values[1:])
+        rows.append(tuple(row))
+    # multiples of some rows, on their support or one variable more
+    for r in rng.sample(rows, rng.randint(0, len(rows))):
+        i = rng.randrange(dim)
+        rows.append(r[:i] + (r[i] + rng.choice(values[1:]),) + r[i + 1 :])
+    rows += rng.sample(rows, rng.randint(0, len(rows)))
+    if rng.random() < 0.25:
+        rows.append((0,) * dim)
+    rng.shuffle(rows)
+    return rows
+
+
+ORACLE_CASES = [
+    (dim, shape, values)
+    for dim in (1, 2, 5, 70)
+    for shape in ("dense", "star", "sparse")
+    for values in (SMALL, HUGE)
+]
+ORACLE_IDS = [f"d{d}-{s}-{'huge' if v is HUGE else 'small'}" for d, s, v in ORACLE_CASES]
+
+
+def case_rng(dim, shape, values):
+    return random.Random(f"{dim}-{shape}-{values[-1]}")
+
+
+def random_powers_from(rng, dim, values):
+    support = rng.sample(range(dim), rng.randint(0, min(dim, 6)))
+    return tuple(sorted((i, rng.choice(values[1:])) for i in support))
+
+
+class TestSupportMaskedLayer:
+    """The support-filtered sweep, containment and membership against the
+    dense definitions, on seeded rows: the zero row and repeated rows,
+    dimensions 1 to 70 (masks wider than 64 bits), exponents near
+    ``10**20``, star-sparse and dense rows."""
+
+    @pytest.mark.parametrize("dim, shape, values", ORACLE_CASES, ids=ORACLE_IDS)
+    def test_minimalize_matches_dense_sweep(self, dim, shape, values):
+        rng = case_rng(dim, shape, values)
+        ctx = VariableContext.of_dimension(dim)
+        for trial in range(30):
+            rows = oracle_rows(rng, dim, shape, values)
+            expected = dense_minimalize(rows)
+            assert kernels.minimalize(rows) == expected
+            assert MonomialIdeal(ctx, rows).rows == tuple(expected)
+
+    @pytest.mark.parametrize("dim, shape, values", ORACLE_CASES, ids=ORACLE_IDS)
+    def test_ideal_leq_and_member_match_dense(self, dim, shape, values):
+        rng = case_rng(dim, shape, values)
+        ctx = VariableContext.of_dimension(dim)
+        for trial in range(20):
+            a = MonomialIdeal(ctx, oracle_rows(rng, dim, shape, values))
+            b = MonomialIdeal(ctx, oracle_rows(rng, dim, shape, values))
+            # multiples of a's generators: an ideal inside a
+            inside = MonomialIdeal(
+                ctx, [kernels.lcm(r, rng.choice(b.rows or (r,))) for r in a.rows]
+            )
+            ideals = [a, b, inside, MonomialIdeal.zero(ctx), MonomialIdeal.unit(ctx)]
+            for x, y in itertools.product(ideals, repeat=2):
+                assert ideal_leq(x, y) == dense_ideal_leq(x, y)
+            assert ideal_leq(inside, a)
+            probes = list(b.rows + inside.rows) + [(0,) * dim]
+            # one exponent lowered: often just outside the ideal
+            for r in a.rows:
+                i = rng.randrange(dim)
+                probes.append(r[:i] + (max(0, r[i] - 1),) + r[i + 1 :])
+            for p in probes:
+                m = ctx.monomial(p)
+                for x in ideals:
+                    assert member(x, m) == dense_any_divides(x.rows, p)
+
+    @pytest.mark.parametrize("dim", [1, 6, 70])
+    @pytest.mark.parametrize("values", [SMALL, HUGE], ids=["small", "huge"])
+    def test_powers_leq_matches_dense(self, dim, values):
+        rng = random.Random(f"powers-{dim}-{values[-1]}")
+        for trial in range(300):
+            small = random_powers_from(rng, dim, values)
+            # big shares much of small's support, so both answers occur
+            big = dict(rng.sample(small, rng.randint(0, len(small))))
+            for i, e in random_powers_from(rng, dim, values):
+                big.setdefault(i, e)
+            for i in big:
+                if rng.random() < 0.3:
+                    big[i] = rng.choice(values[1:])
+            big = tuple(sorted(big.items()))
+            for x, y in [(small, big), (big, small), (small, small)]:
+                assert _powers_leq(x, y) == dense_powers_leq(x, y)
 
 
 def prune_powers(items):

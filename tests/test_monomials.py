@@ -117,6 +117,12 @@ class TestIdealRows:
         names = [f.name for f in dataclasses.fields(MonomialIdeal)]
         assert names == ["context", "rows"]
 
+    def test_support_masks_stay_out_of_equality_hash_and_repr(self):
+        I = ideal(X3, (0, 5, 0), (2, 0, 1), (3, 5, 0))
+        J = ideal(X3, (2, 0, 1), (0, 5, 0))
+        assert I == J and hash(I) == hash(J)
+        assert repr(I) == f"MonomialIdeal(context={X3!r}, rows={I.rows!r})"
+
     def test_generators_derived_from_rows(self):
         I = ideal(X2, (0, 5), (2, 0), (3, 1))
         assert I.rows == ((2, 0), (0, 5))
