@@ -54,11 +54,21 @@ class IrreducibleComponent:
     def __post_init__(self):
         # one pass; both routes hand over sorted tuple pairs, which are
         # kept as they are
-        powers = tuple(self.powers)
+        try:
+            powers = tuple(self.powers)
+        except TypeError:
+            raise ValueError(
+                f"component powers must be a sequence of pairs, got {self.powers!r}"
+            ) from None
         last = -1
         canonical = True
         for pair in powers:
-            i, e = pair
+            try:
+                i, e = pair
+            except (TypeError, ValueError):
+                raise ValueError(
+                    f"a component power must be an (index, exponent) pair, got {pair!r}"
+                ) from None
             if (type(i) is not int or type(e) is not int) and (
                 isinstance(i, bool)
                 or isinstance(e, bool)
@@ -94,12 +104,14 @@ class IrreducibleComponent:
         return dict(self.powers)
 
     def ideal(self) -> MonomialIdeal:
+        # pure powers of distinct variables: an antichain as they stand
+        d = self.context.dimension
         rows = []
         for i, e in self.powers:
-            row = [0] * self.context.dimension
+            row = [0] * d
             row[i] = e
-            rows.append(row)
-        return MonomialIdeal(self.context, rows)
+            rows.append(tuple(row))
+        return MonomialIdeal._of_antichain(self.context, rows)
 
     def contains(self, other: "IrreducibleComponent") -> bool:
         """other's ideal is contained in this one.
@@ -203,7 +215,9 @@ class Decomposition:
                         break
                 else:
                     rows.append(m)
-        return MonomialIdeal(context, [codec.unpack_row(r) for r in rows])
+        return MonomialIdeal._of_antichain(
+            context, [codec.unpack_row(r) for r in rows]
+        )
 
     def support_sizes(self) -> tuple[int, ...]:
         return tuple(sorted({c.m_height for c in self.components}))

@@ -249,7 +249,8 @@ def edge_ideal(graph: WeightedGraph) -> MonomialIdeal:
         vec[e.u] = 1
         vec[e.v] = 1
         rows.append(tuple(vec))
-    return MonomialIdeal(graph.context, rows)
+    # a simple graph's edges have distinct two-vertex supports
+    return MonomialIdeal._of_antichain(graph.context, rows)
 
 
 def weighted_edge_ideal(graph: WeightedGraph) -> MonomialIdeal:
@@ -261,7 +262,8 @@ def weighted_edge_ideal(graph: WeightedGraph) -> MonomialIdeal:
         vec[e.u] = e.w
         vec[e.v] = e.w
         rows.append(tuple(vec))
-    return MonomialIdeal(graph.context, rows)
+    # a simple graph's edges have distinct two-vertex supports
+    return MonomialIdeal._of_antichain(graph.context, rows)
 
 
 def _covers(graph: WeightedGraph, entries: Mapping[int, int]) -> bool:

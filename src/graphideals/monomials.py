@@ -54,15 +54,19 @@ class VariableContext:
     names: tuple[str, ...]
 
     def __post_init__(self):
-        names = tuple(self.names)
+        try:
+            names = tuple(self.names)
+        except TypeError:
+            raise ValueError("variable names must be a sequence") from None
         object.__setattr__(self, "names", names)
         if len(names) < 1:
             raise ValueError("a context needs at least one variable")
-        if len(set(names)) != len(names):
-            raise ValueError("variable names must be distinct")
+        # types first: an unhashable name would break the distinctness test
         for name in names:
             if not isinstance(name, str) or not name:
                 raise ValueError("variable names must be nonempty strings")
+        if len(set(names)) != len(names):
+            raise ValueError("variable names must be distinct")
 
     @classmethod
     def of_dimension(cls, dimension: int) -> "VariableContext":
@@ -121,6 +125,10 @@ class MonomialIdeal:
     Any exponent rows may be passed in; construction validates each one,
     deduplicates, removes divisible rows and sorts graded-lexicographically.
     The zero ideal has no rows, the unit ideal exactly the zero row.
+    Rows the library builds as an antichain by construction (edge ideals,
+    component ideals, intersections, bracket powers) go through
+    :meth:`_of_antichain` instead, which skips the validation and the
+    sweep and only sorts.
     """
 
     context: VariableContext
@@ -128,7 +136,30 @@ class MonomialIdeal:
 
     def __post_init__(self):
         d = self.context.dimension
-        rows = tuple(kernels.minimalize([_exponent_row(r, d) for r in self.rows]))
+        try:
+            rows = [_exponent_row(r, d) for r in self.rows]
+        except TypeError:
+            raise ValueError(
+                f"ideal rows must be a sequence of exponent rows, got {self.rows!r}"
+            ) from None
+        self._set_rows(kernels.minimalize(rows))
+
+    @classmethod
+    def _of_antichain(cls, context: VariableContext, rows) -> "MonomialIdeal":
+        """The ideal of rows that library code built as an antichain.
+
+        The caller guarantees that each row is a tuple of
+        ``context.dimension`` nonnegative ints and that no row divides
+        another (so no two are equal).  The rows are only sorted
+        graded-lexicographically: no validation, no sweep.
+        """
+        ideal = object.__new__(cls)
+        object.__setattr__(ideal, "context", context)
+        ideal._set_rows(sorted(rows, key=kernels.grlex_key))
+        return ideal
+
+    def _set_rows(self, rows) -> None:
+        rows = tuple(rows)
         object.__setattr__(self, "rows", rows)
         # not a field: equality, hashing and repr see only (context, rows)
         masks = map(kernels.support_mask, rows)
@@ -221,10 +252,11 @@ def m_radical(ideal: MonomialIdeal) -> MonomialIdeal:
 
 def bracket_power(ideal: MonomialIdeal, a: int) -> MonomialIdeal:
     """The power that multiplies every generator exponent by a."""
-    if not isinstance(a, int) or a < 1:
+    if isinstance(a, bool) or not isinstance(a, int) or a < 1:
         raise ValueError("bracket power exponent must be a positive integer")
+    # scaling by a >= 1 keeps divisibility, the order and the supports
     rows = [tuple(e * a for e in r) for r in ideal.rows]
-    return MonomialIdeal(ideal.context, rows)
+    return MonomialIdeal._of_antichain(ideal.context, rows)
 
 
 def polarize(

@@ -13,18 +13,22 @@ from graphideals.decompose import (
     is_m_unmixed_ideal,
     split_decompose,
 )
+from graphideals import kernels
 from graphideals.graphs import (
     Edge,
     WeightedGraph,
     cover_decomposition,
+    edge_ideal,
     weighted_edge_ideal,
 )
 from graphideals.monomials import (
     MonomialIdeal,
     VariableContext,
+    bracket_power,
     ideal_eq,
     intersect,
 )
+from graphideals.verify import random_weighted_graph
 from test_monomials import is_m_irreducible
 
 X3 = VariableContext.of_dimension(3)
@@ -79,6 +83,11 @@ class TestComponent:
     )
     def test_rejects_bool_and_float_anywhere(self, powers):
         with pytest.raises(ValueError, match="must be ints"):
+            IrreducibleComponent(X3, powers)
+
+    @pytest.mark.parametrize("powers", [5, [5], [(0, 1), None]])
+    def test_rejects_non_sequence_powers_and_non_pairs(self, powers):
+        with pytest.raises(ValueError):
             IrreducibleComponent(X3, powers)
 
     @pytest.mark.parametrize(
@@ -424,6 +433,93 @@ class TestIntersection:
         rows = D.intersection().rows
         assert rows == tuple_fold(D).rows
         assert rows == weighted_edge_ideal(g).rows
+
+
+class TestLibraryAntichains:
+    """The ideals built by MonomialIdeal._of_antichain against the
+    validating constructor as the oracle: the same rows, masks, equality,
+    hash and repr as MonomialIdeal(context, rows) on rows built here from
+    the definitions."""
+
+    def check(self, built, rows):
+        oracle = MonomialIdeal(built.context, rows)
+        assert built.rows == oracle.rows
+        assert built._masked_rows == oracle._masked_rows
+        assert built == oracle and hash(built) == hash(oracle)
+        assert repr(built) == repr(oracle)
+
+    def edge_rows(self, g, squarefree):
+        d = g.vertex_count
+        return [
+            tuple((1 if squarefree else w) if i in (u, v) else 0 for i in range(d))
+            for u, v, w in reversed(g.edges)
+        ]
+
+    def power_rows(self, c):
+        d = c.context.dimension
+        return [tuple(e if i == j else 0 for j in range(d)) for i, e in c.powers]
+
+    def test_graph_sites(self):
+        # seeded 1-8-vertex graphs, a quarter with weights of 10**20, plus
+        # an edgeless graph and a one-vertex graph
+        rng = random.Random(1307)
+        graphs = [WeightedGraph(("a", "b", "c"), ()), WeightedGraph(("a",), ())]
+        for k in range(160):
+            g = random_weighted_graph(rng, max_vertices=8, max_weight=4)
+            if k % 4 == 0:
+                edges = tuple(Edge(u, v, 10**20 + w) for u, v, w in g.edges)
+                g = WeightedGraph(g.vertex_names, edges)
+            graphs.append(g)
+        assert any(not g.edges for g in graphs)
+        assert any(g.vertex_count == 1 for g in graphs)
+        assert any(w > 10**20 for g in graphs for w in g.weights())
+        for g in graphs:
+            self.check(edge_ideal(g), self.edge_rows(g, True))
+            weighted = weighted_edge_ideal(g)
+            self.check(weighted, self.edge_rows(g, False))
+            D = cover_decomposition(g)
+            for c in D.components:
+                self.check(c.ideal(), self.power_rows(c))
+            self.check(D.intersection(), self.edge_rows(g, False))
+            for a in (1, 2, 3):
+                self.check(
+                    bracket_power(weighted, a),
+                    [tuple(e * a for e in r) for r in self.edge_rows(g, False)],
+                )
+
+    def test_component_lists(self):
+        rng = random.Random(1311)
+        lists = [seeded_component_list(rng) for _ in range(200)]
+        lists += [Decomposition(VariableContext.of_dimension(d), ()) for d in (1, 4)]
+        lists.append(Decomposition(X3, (comp(X3, {}), comp(X3, {0: 10**20}))))
+        for D in lists:
+            for c in D.components:
+                self.check(c.ideal(), self.power_rows(c))
+            self.check(D.intersection(), tuple_fold(D).rows)
+        assert IrreducibleComponent(X3, ()).ideal() == MonomialIdeal.zero(X3)
+        assert Decomposition(X3, ()).intersection() == MonomialIdeal.unit(X3)
+
+    @pytest.mark.parametrize("a", [1, 2, 10**20])
+    def test_bracket_powers_of_zero_and_unit(self, a):
+        for d in (1, 3):
+            X = VariableContext.of_dimension(d)
+            for I in (MonomialIdeal.zero(X), MonomialIdeal.unit(X)):
+                powered = bracket_power(I, a)
+                self.check(powered, [tuple(e * a for e in r) for r in I.rows])
+                assert powered == I
+
+    def test_no_site_runs_the_sweep(self, monkeypatch):
+        def sweep(vecs):
+            raise AssertionError("kernels.minimalize called")
+
+        g = route_graph("K10")
+        D = cover_decomposition(g)
+        monkeypatch.setattr(kernels, "minimalize", sweep)
+        edge_ideal(g)
+        bracket_power(weighted_edge_ideal(g), 2)
+        for c in D.components:
+            c.ideal()
+        D.intersection()
 
 
 class TestHeightAndUnmixed:

@@ -57,6 +57,13 @@ class TestContext:
         with pytest.raises(ValueError):
             VariableContext(("a", "a"))
 
+    @pytest.mark.parametrize(
+        "names", [5, [["a"]], [{"a": 1}, "b"]], ids=["int", "list", "dict"]
+    )
+    def test_rejects_non_sequence_or_unhashable_names(self, names):
+        with pytest.raises(ValueError):
+            VariableContext(names)
+
 
 class TestMonomial:
     def test_rejects_wrong_length(self):
@@ -139,6 +146,10 @@ class TestIdealRows:
     def test_rejects_non_rows(self, row):
         with pytest.raises(ValueError):
             MonomialIdeal(X3, [row])
+
+    def test_rejects_non_sequence_rows(self):
+        with pytest.raises(ValueError):
+            MonomialIdeal(X3, 5)
 
 
 class TestMinimalGenerators:
@@ -249,6 +260,11 @@ class TestBracketPower:
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             bracket_power(ideal(X2, (1, 1)), 0)
+
+    @pytest.mark.parametrize("a", [True, False, 2.0])
+    def test_rejects_bool_and_float(self, a):
+        with pytest.raises(ValueError):
+            bracket_power(ideal(X2, (1, 1)), a)
 
 
 class TestIrreducibility:
