@@ -27,8 +27,8 @@ exhaustive cover enumeration with an unknown CM status.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 
+from ._records import FrozenRecord
 from .graphs import WeightedGraph, is_unmixed
 
 CM_YES = "yes"
@@ -40,40 +40,91 @@ class FamilyMismatchError(ValueError):
     """The graph does not belong to the requested family."""
 
 
-@dataclass(frozen=True)
-class SuspensionDecomposition:
+class SuspensionDecomposition(FrozenRecord):
     """A split of a graph into base vertices and their whiskers.
 
     ``whiskers`` pairs each base vertex with its pendant vertex; the base
     vertices plus the whisker vertices partition the graph.
     """
 
-    base_vertices: tuple[int, ...]
-    whiskers: tuple[tuple[int, int], ...]
+    _fields = ("base_vertices", "whiskers")
 
-    def __post_init__(self):
-        object.__setattr__(self, "base_vertices", tuple(sorted(self.base_vertices)))
-        object.__setattr__(self, "whiskers", tuple(sorted(self.whiskers)))
+    def __init__(
+        self, base_vertices: tuple[int, ...], whiskers: tuple[tuple[int, int], ...]
+    ):
+        object.__setattr__(self, "base_vertices", tuple(sorted(base_vertices)))
+        object.__setattr__(self, "whiskers", tuple(sorted(whiskers)))
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.base_vertices, self.whiskers) == (
+                other.base_vertices,
+                other.whiskers,
+            )
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.base_vertices, self.whiskers))
 
     def whisker_of(self) -> dict[int, int]:
         return dict(self.whiskers)
 
 
-@dataclass(frozen=True)
-class Verdict:
-    """Classification outcome for one weighted graph."""
+class Verdict(FrozenRecord):
+    """Classification outcome for one weighted graph.
 
-    family: str
-    unmixed: bool
-    cohen_macaulay: str
-    certificate: dict = field(default_factory=dict)
-    rationale: str = ""
+    ``certificate`` defaults to a new empty dict for each verdict.
+    """
 
-    def __post_init__(self):
-        if self.cohen_macaulay not in (CM_YES, CM_NO, CM_UNKNOWN):
+    _fields = ("family", "unmixed", "cohen_macaulay", "certificate", "rationale")
+
+    def __init__(
+        self,
+        family: str,
+        unmixed: bool,
+        cohen_macaulay: str,
+        certificate: dict | None = None,
+        rationale: str = "",
+    ):
+        if cohen_macaulay not in (CM_YES, CM_NO, CM_UNKNOWN):
             raise ValueError("cohen_macaulay must be yes, no or unknown")
-        if self.cohen_macaulay == CM_YES and not self.unmixed:
+        if cohen_macaulay == CM_YES and not unmixed:
             raise ValueError("a Cohen-Macaulay verdict requires unmixedness")
+        if certificate is None:
+            certificate = {}
+        object.__setattr__(self, "family", family)
+        object.__setattr__(self, "unmixed", unmixed)
+        object.__setattr__(self, "cohen_macaulay", cohen_macaulay)
+        object.__setattr__(self, "certificate", certificate)
+        object.__setattr__(self, "rationale", rationale)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (
+                self.family,
+                self.unmixed,
+                self.cohen_macaulay,
+                self.certificate,
+                self.rationale,
+            ) == (
+                other.family,
+                other.unmixed,
+                other.cohen_macaulay,
+                other.certificate,
+                other.rationale,
+            )
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(
+            (
+                self.family,
+                self.unmixed,
+                self.cohen_macaulay,
+                self.certificate,
+                self.rationale,
+            )
+        )
 
 
 def _validate_weights(weights):

@@ -22,9 +22,9 @@ import argparse
 import json
 import random
 import sys
-from dataclasses import dataclass, field
 
 from . import __version__
+from ._records import Record
 from .classify import FAMILIES, FamilyMismatchError, classify_auto
 from .decompose import (
     DEFAULT_COMPONENT_CAP,
@@ -50,18 +50,44 @@ from .verify import random_weighted_graph, run_suite
 EXIT_CODES = {"ok": 0, "parse": 1, "validation": 2, "oracle": 3}
 
 
-@dataclass
-class CommandRequest:
-    command: str
-    input_path: str | None
-    options: dict = field(default_factory=dict)
+class CommandRequest(Record):
+    """One command to run; ``options`` defaults to a new empty dict."""
+
+    _fields = ("command", "input_path", "options")
+
+    def __init__(
+        self, command: str, input_path: str | None, options: dict | None = None
+    ):
+        self.command = command
+        self.input_path = input_path
+        self.options = {} if options is None else options
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.command, self.input_path, self.options) == (
+                other.command,
+                other.input_path,
+                other.options,
+            )
+        return NotImplemented
 
 
-@dataclass
-class Report:
-    status: str
-    payload: dict
-    diagnostics: list
+class Report(Record):
+    _fields = ("status", "payload", "diagnostics")
+
+    def __init__(self, status: str, payload: dict, diagnostics: list):
+        self.status = status
+        self.payload = payload
+        self.diagnostics = diagnostics
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.status, self.payload, self.diagnostics) == (
+                other.status,
+                other.payload,
+                other.diagnostics,
+            )
+        return NotImplemented
 
     def exit_code(self) -> int:
         if self.status == "ok":

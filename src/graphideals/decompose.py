@@ -23,8 +23,8 @@ contain v is kept, and only the rest are compared.
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass
 
+from ._records import FrozenRecord
 from .monomials import (
     ContextMismatchError,
     MonomialIdeal,
@@ -38,8 +38,7 @@ class DecompositionLimitError(RuntimeError):
     """Raised when a decomposition exceeds the component cap."""
 
 
-@dataclass(frozen=True)
-class IrreducibleComponent:
+class IrreducibleComponent(FrozenRecord):
     """An m-irreducible ideal P(V', d'): pure powers of distinct variables.
 
     ``powers`` holds (variable index, exponent) pairs with exponents >= 1,
@@ -48,17 +47,16 @@ class IrreducibleComponent:
     vertex v carries weight d'(v), the exponent of X_v.
     """
 
-    context: VariableContext
-    powers: tuple[tuple[int, int], ...]
+    _fields = ("context", "powers")
 
-    def __post_init__(self):
+    def __init__(self, context: VariableContext, powers: tuple[tuple[int, int], ...]):
         # one pass; both routes hand over sorted tuple pairs, which are
         # kept as they are
         try:
-            powers = tuple(self.powers)
+            powers = tuple(powers)
         except TypeError:
             raise ValueError(
-                f"component powers must be a sequence of pairs, got {self.powers!r}"
+                f"component powers must be a sequence of pairs, got {powers!r}"
             ) from None
         last = -1
         canonical = True
@@ -88,9 +86,18 @@ class IrreducibleComponent:
                     raise ValueError("component variables must be distinct")
         # sorted and distinct: the end indices bound all the others
         for i in (powers[0][0], powers[-1][0]) if powers else ():
-            if not 0 <= i < self.context.dimension:
+            if not 0 <= i < context.dimension:
                 raise ValueError(f"variable index {i} out of range")
+        object.__setattr__(self, "context", context)
         object.__setattr__(self, "powers", powers)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.context, self.powers) == (other.context, other.powers)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.context, self.powers))
 
     @property
     def support(self) -> tuple[int, ...]:
@@ -150,24 +157,36 @@ def _powers_leq(small, big) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class Decomposition:
+class Decomposition(FrozenRecord):
     """A list of irreducible components in canonical order.
 
     Both routes build it irredundant.
     """
 
-    context: VariableContext
-    components: tuple[IrreducibleComponent, ...]
+    _fields = ("context", "components")
 
-    def __post_init__(self):
-        for c in self.components:
-            if c.context != self.context:
+    def __init__(
+        self, context: VariableContext, components: tuple[IrreducibleComponent, ...]
+    ):
+        for c in components:
+            if c.context != context:
                 raise ContextMismatchError(
                     "all components must share the decomposition's context"
                 )
-        ordered = tuple(sorted(self.components, key=lambda c: c.powers))
+        ordered = tuple(sorted(components, key=lambda c: c.powers))
+        object.__setattr__(self, "context", context)
         object.__setattr__(self, "components", ordered)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.context, self.components) == (
+                other.context,
+                other.components,
+            )
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.context, self.components))
 
     def intersection(self) -> MonomialIdeal:
         """Intersect all components; recovers the decomposed ideal.

@@ -29,10 +29,11 @@ has at most 2|E| nodes.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Iterable, Iterator, Mapping
 from functools import cached_property, lru_cache
-from typing import Iterable, Iterator, Mapping, NamedTuple
 
+from ._records import FrozenRecord
 from .decompose import (
     DEFAULT_COMPONENT_CAP,
     Decomposition,
@@ -51,32 +52,26 @@ class GraphValidationError(ValueError):
         self.reason = reason
 
 
-class Edge(NamedTuple):
-    u: int
-    v: int
-    w: int
+Edge = namedtuple("Edge", ["u", "v", "w"])
 
 
-@dataclass(frozen=True)
-class WeightedGraph:
+class WeightedGraph(FrozenRecord):
     """A finite simple graph with positive integer edge weights.
 
     Vertices are indexed 0..d-1 and display through ``vertex_names``;
     edges are stored with u < v and sorted, so equal graphs compare equal.
     """
 
-    vertex_names: tuple[str, ...]
-    edges: tuple[Edge, ...]
+    _fields = ("vertex_names", "edges")
 
-    def __post_init__(self):
+    def __init__(self, vertex_names: tuple[str, ...], edges: tuple[Edge, ...]):
         try:
-            names = tuple(self.vertex_names)
-            edges = tuple(self.edges)
+            names = tuple(vertex_names)
+            edges = tuple(edges)
         except TypeError:
             raise GraphValidationError(
                 "bad-schema", "vertex names and edges must each be a sequence"
             ) from None
-        object.__setattr__(self, "vertex_names", names)
         if not names:
             raise GraphValidationError("bad-name", "graph needs at least one vertex")
         # types first: an unhashable name would break the distinctness test
@@ -121,7 +116,19 @@ class WeightedGraph:
                     "bad-weight", f"edge weight must be a positive integer, got {w!r}"
                 )
             normalized.append(Edge(u, v, w))
+        object.__setattr__(self, "vertex_names", names)
         object.__setattr__(self, "edges", tuple(sorted(normalized)))
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.vertex_names, self.edges) == (
+                other.vertex_names,
+                other.edges,
+            )
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.vertex_names, self.edges))
 
     @property
     def vertex_count(self) -> int:
@@ -216,6 +223,14 @@ def validate_graph(data) -> WeightedGraph:
         isinstance(v, str) for v in vertices
     ):
         raise GraphValidationError("bad-schema", "'vertices' must be a list of strings")
+    # JSON escapes admit lone surrogates, which no output stream can encode
+    for name in vertices:
+        try:
+            name.encode("utf-8")
+        except UnicodeEncodeError:
+            raise GraphValidationError(
+                "bad-name", f"vertex name {name!r} is not valid UTF-8"
+            ) from None
     index = {name: i for i, name in enumerate(vertices)}
     raw_edges = data["edges"]
     if not isinstance(raw_edges, list):
@@ -459,11 +474,30 @@ def cover_decomposition(
     return Decomposition(graph.context, tuple(covers))
 
 
-@dataclass(frozen=True)
-class UnmixednessResult:
-    unmixed: bool
-    cardinality: int | None
-    witnesses: tuple[IrreducibleComponent, IrreducibleComponent] | None
+class UnmixednessResult(FrozenRecord):
+    _fields = ("unmixed", "cardinality", "witnesses")
+
+    def __init__(
+        self,
+        unmixed: bool,
+        cardinality: int | None,
+        witnesses: tuple[IrreducibleComponent, IrreducibleComponent] | None,
+    ):
+        object.__setattr__(self, "unmixed", unmixed)
+        object.__setattr__(self, "cardinality", cardinality)
+        object.__setattr__(self, "witnesses", witnesses)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.unmixed, self.cardinality, self.witnesses) == (
+                other.unmixed,
+                other.cardinality,
+                other.witnesses,
+            )
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.unmixed, self.cardinality, self.witnesses))
 
 
 def is_unmixed(graph: WeightedGraph) -> UnmixednessResult:

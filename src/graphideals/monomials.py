@@ -16,10 +16,10 @@ generated by the monomial 1 (the zero row).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Mapping
+from collections.abc import Iterable, Mapping
 
 from . import kernels
+from ._records import FrozenRecord
 
 
 class ContextMismatchError(ValueError):
@@ -47,15 +47,14 @@ def _exponent_row(exps, dimension: int) -> tuple[int, ...]:
     return row
 
 
-@dataclass(frozen=True)
-class VariableContext:
+class VariableContext(FrozenRecord):
     """An ordered tuple of distinct variable names."""
 
-    names: tuple[str, ...]
+    _fields = ("names",)
 
-    def __post_init__(self):
+    def __init__(self, names: tuple[str, ...]):
         try:
-            names = tuple(self.names)
+            names = tuple(names)
         except TypeError:
             raise ValueError("variable names must be a sequence") from None
         object.__setattr__(self, "names", names)
@@ -67,6 +66,14 @@ class VariableContext:
                 raise ValueError("variable names must be nonempty strings")
         if len(set(names)) != len(names):
             raise ValueError("variable names must be distinct")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.names == other.names
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.names,))
 
     @classmethod
     def of_dimension(cls, dimension: int) -> "VariableContext":
@@ -86,17 +93,23 @@ class VariableContext:
         return Monomial(self, (0,) * self.dimension)
 
 
-@dataclass(frozen=True)
-class Monomial:
+class Monomial(FrozenRecord):
     """A dense exponent vector over a context."""
 
-    context: VariableContext
-    exponents: tuple[int, ...]
+    _fields = ("context", "exponents")
 
-    def __post_init__(self):
-        object.__setattr__(
-            self, "exponents", _exponent_row(self.exponents, self.context.dimension)
-        )
+    def __init__(self, context: VariableContext, exponents: tuple[int, ...]):
+        exponents = _exponent_row(exponents, context.dimension)
+        object.__setattr__(self, "context", context)
+        object.__setattr__(self, "exponents", exponents)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.context, self.exponents) == (other.context, other.exponents)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.context, self.exponents))
 
     @property
     def degree(self) -> int:
@@ -118,8 +131,7 @@ class Monomial:
         return "*".join(parts)
 
 
-@dataclass(frozen=True)
-class MonomialIdeal:
+class MonomialIdeal(FrozenRecord):
     """A monomial ideal held as its canonical minimal generator rows.
 
     Any exponent rows may be passed in; construction validates each one,
@@ -131,18 +143,26 @@ class MonomialIdeal:
     sweep and only sorts.
     """
 
-    context: VariableContext
-    rows: tuple[tuple[int, ...], ...]
+    _fields = ("context", "rows")
 
-    def __post_init__(self):
-        d = self.context.dimension
+    def __init__(self, context: VariableContext, rows: tuple[tuple[int, ...], ...]):
+        d = context.dimension
         try:
-            rows = [_exponent_row(r, d) for r in self.rows]
+            checked = [_exponent_row(r, d) for r in rows]
         except TypeError:
             raise ValueError(
-                f"ideal rows must be a sequence of exponent rows, got {self.rows!r}"
+                f"ideal rows must be a sequence of exponent rows, got {rows!r}"
             ) from None
-        self._set_rows(kernels.minimalize(rows))
+        object.__setattr__(self, "context", context)
+        self._set_rows(kernels.minimalize(checked))
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.context, self.rows) == (other.context, other.rows)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.context, self.rows))
 
     @classmethod
     def _of_antichain(cls, context: VariableContext, rows) -> "MonomialIdeal":

@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
 
+from ._records import Record
 from .decompose import IrreducibleComponent, split_decompose
 from .graphs import (
     Edge,
@@ -29,12 +29,24 @@ from .graphs import (
 from .monomials import bracket_power, ideal_eq, ideal_leq, m_radical
 
 
-@dataclass
-class CheckResult:
-    name: str
-    passed: bool
-    cases: int
-    detail: str = ""
+class CheckResult(Record):
+    _fields = ("name", "passed", "cases", "detail")
+
+    def __init__(self, name: str, passed: bool, cases: int, detail: str = ""):
+        self.name = name
+        self.passed = passed
+        self.cases = cases
+        self.detail = detail
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.name, self.passed, self.cases, self.detail) == (
+                other.name,
+                other.passed,
+                other.cases,
+                other.detail,
+            )
+        return NotImplemented
 
 
 def random_weighted_graph(

@@ -3,6 +3,10 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -486,6 +490,27 @@ class TestErrorDiscipline:
         code, _, err = invoke(["ideal", str(path)])
         assert code == 2
         assert "loop" in err
+
+    @pytest.mark.parametrize("command", ["covers", "primes"])
+    def test_lone_surrogate_name_is_validation_error(self, command):
+        # a real UTF-8 stdout, as a StringIO would print the name anyway
+        doc = (
+            '{"vertices": ["\\ud800", "b"], '
+            '"edges": [{"u": "\\ud800", "v": "b", "w": 1}]}'
+        )
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = dict(os.environ, PYTHONPATH=str(src), PYTHONIOENCODING="utf-8")
+        done = subprocess.run(
+            [sys.executable, "-m", "graphideals", command, "-"],
+            input=doc.encode("ascii"),
+            env=env,
+            capture_output=True,
+            timeout=60,
+        )
+        assert (done.returncode, done.stdout) == (2, b"")
+        assert done.stderr == (
+            b"error: invalid graph: vertex name '\\ud800' is not valid UTF-8\n"
+        )
 
     def test_unknown_command_is_usage_error(self):
         code, _, _ = invoke(["frobnicate"])

@@ -138,6 +138,13 @@ class TestValidation:
             )
         assert err.value.reason == "bad-name"
 
+    def test_lone_surrogate_name_rejected(self):
+        # JSON's "\ud800" escape decodes to a str no stream can encode
+        with pytest.raises(GraphValidationError) as err:
+            validate_graph({"vertices": ["a", "\ud800"], "edges": []})
+        assert err.value.reason == "bad-name"
+        assert str(err.value) == "vertex name '\\ud800' is not valid UTF-8"
+
     def test_edges_normalized_and_sorted(self):
         g = WeightedGraph(("a", "b", "c"), ((2, 1, 3), (1, 0, 1)))
         assert [tuple(e) for e in g.edges] == [(0, 1, 1), (1, 2, 3)]

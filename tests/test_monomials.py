@@ -1,7 +1,5 @@
 """Golden tests for exponent-vector monomials and monomial ideal arithmetic."""
 
-import dataclasses
-
 import pytest
 
 from graphideals.monomials import (
@@ -121,8 +119,15 @@ class TestLcm:
 
 class TestIdealRows:
     def test_fields_are_context_and_rows(self):
-        names = [f.name for f in dataclasses.fields(MonomialIdeal)]
-        assert names == ["context", "rows"]
+        # equality, hashing and repr see the context and the rows alone
+        I = ideal(X3, (2, 0, 1), (0, 5, 0))
+        J = ideal(X3, (0, 5, 0), (2, 0, 1))
+        vars(J)["extra"] = "not a field"
+        assert I == J and hash(I) == hash(J) == hash((X3, I.rows))
+        assert repr(I) == repr(J) == f"MonomialIdeal(context={X3!r}, rows={I.rows!r})"
+        other_context = VariableContext(("a", "b", "c"))
+        assert I != MonomialIdeal(other_context, I.rows)
+        assert I != ideal(X3, (2, 0, 1))
 
     def test_support_masks_stay_out_of_equality_hash_and_repr(self):
         I = ideal(X3, (0, 5, 0), (2, 0, 1), (3, 5, 0))
