@@ -55,17 +55,6 @@ class SuspensionDecomposition(FrozenRecord):
         object.__setattr__(self, "base_vertices", tuple(sorted(base_vertices)))
         object.__setattr__(self, "whiskers", tuple(sorted(whiskers)))
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.base_vertices, self.whiskers) == (
-                other.base_vertices,
-                other.whiskers,
-            )
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.base_vertices, self.whiskers))
-
     def whisker_of(self) -> dict[int, int]:
         return dict(self.whiskers)
 
@@ -97,34 +86,6 @@ class Verdict(FrozenRecord):
         object.__setattr__(self, "cohen_macaulay", cohen_macaulay)
         object.__setattr__(self, "certificate", certificate)
         object.__setattr__(self, "rationale", rationale)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (
-                self.family,
-                self.unmixed,
-                self.cohen_macaulay,
-                self.certificate,
-                self.rationale,
-            ) == (
-                other.family,
-                other.unmixed,
-                other.cohen_macaulay,
-                other.certificate,
-                other.rationale,
-            )
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(
-            (
-                self.family,
-                self.unmixed,
-                self.cohen_macaulay,
-                self.certificate,
-                self.rationale,
-            )
-        )
 
 
 def _validate_weights(weights):

@@ -62,15 +62,6 @@ class CommandRequest(Record):
         self.input_path = input_path
         self.options = {} if options is None else options
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.command, self.input_path, self.options) == (
-                other.command,
-                other.input_path,
-                other.options,
-            )
-        return NotImplemented
-
 
 class Report(Record):
     _fields = ("status", "payload", "diagnostics")
@@ -79,15 +70,6 @@ class Report(Record):
         self.status = status
         self.payload = payload
         self.diagnostics = diagnostics
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.status, self.payload, self.diagnostics) == (
-                other.status,
-                other.payload,
-                other.diagnostics,
-            )
-        return NotImplemented
 
     def exit_code(self) -> int:
         if self.status == "ok":

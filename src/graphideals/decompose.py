@@ -25,11 +25,7 @@ from __future__ import annotations
 import bisect
 
 from ._records import FrozenRecord
-from .monomials import (
-    ContextMismatchError,
-    MonomialIdeal,
-    VariableContext,
-)
+from .monomials import MonomialIdeal, VariableContext, _same_context
 
 DEFAULT_COMPONENT_CAP = 100_000
 
@@ -91,14 +87,6 @@ class IrreducibleComponent(FrozenRecord):
         object.__setattr__(self, "context", context)
         object.__setattr__(self, "powers", powers)
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.context, self.powers) == (other.context, other.powers)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.context, self.powers))
-
     @property
     def support(self) -> tuple[int, ...]:
         return tuple(i for i, _ in self.powers)
@@ -127,8 +115,7 @@ class IrreducibleComponent(FrozenRecord):
         V' and d'(v) <= d''(v) for every v in V'': smaller components carry
         larger exponents.
         """
-        if self.context != other.context:
-            raise ContextMismatchError("components use different contexts")
+        _same_context(self, other)
         return _powers_leq(other.powers, self.powers)
 
     def __str__(self) -> str:
@@ -168,25 +155,11 @@ class Decomposition(FrozenRecord):
     def __init__(
         self, context: VariableContext, components: tuple[IrreducibleComponent, ...]
     ):
-        for c in components:
-            if c.context != context:
-                raise ContextMismatchError(
-                    "all components must share the decomposition's context"
-                )
-        ordered = tuple(sorted(components, key=lambda c: c.powers))
         object.__setattr__(self, "context", context)
+        for c in components:
+            _same_context(c, self)
+        ordered = tuple(sorted(components, key=lambda c: c.powers))
         object.__setattr__(self, "components", ordered)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.context, self.components) == (
-                other.context,
-                other.components,
-            )
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.context, self.components))
 
     def intersection(self) -> MonomialIdeal:
         """Intersect all components; recovers the decomposed ideal.

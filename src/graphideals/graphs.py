@@ -119,17 +119,6 @@ class WeightedGraph(FrozenRecord):
         object.__setattr__(self, "vertex_names", names)
         object.__setattr__(self, "edges", tuple(sorted(normalized)))
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.vertex_names, self.edges) == (
-                other.vertex_names,
-                other.edges,
-            )
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.vertex_names, self.edges))
-
     @property
     def vertex_count(self) -> int:
         return len(self.vertex_names)
@@ -295,7 +284,7 @@ def is_weighted_cover(graph: WeightedGraph, cover: IrreducibleComponent) -> bool
 
     Raises GraphValidationError unless the cover is over ``graph.context``.
     """
-    if cover.context != graph.context:
+    if cover.context is not graph.context and cover.context != graph.context:
         raise GraphValidationError(
             "bad-index", "cover is not over the graph's variables X1..Xd"
         )
@@ -486,18 +475,6 @@ class UnmixednessResult(FrozenRecord):
         object.__setattr__(self, "unmixed", unmixed)
         object.__setattr__(self, "cardinality", cardinality)
         object.__setattr__(self, "witnesses", witnesses)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.unmixed, self.cardinality, self.witnesses) == (
-                other.unmixed,
-                other.cardinality,
-                other.witnesses,
-            )
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.unmixed, self.cardinality, self.witnesses))
 
 
 def is_unmixed(graph: WeightedGraph) -> UnmixednessResult:

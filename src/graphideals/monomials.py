@@ -67,14 +67,6 @@ class VariableContext(FrozenRecord):
         if len(set(names)) != len(names):
             raise ValueError("variable names must be distinct")
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.names == other.names
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.names,))
-
     @classmethod
     def of_dimension(cls, dimension: int) -> "VariableContext":
         """Context with the default names X1 .. XN."""
@@ -102,14 +94,6 @@ class Monomial(FrozenRecord):
         exponents = _exponent_row(exponents, context.dimension)
         object.__setattr__(self, "context", context)
         object.__setattr__(self, "exponents", exponents)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.context, self.exponents) == (other.context, other.exponents)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.context, self.exponents))
 
     @property
     def degree(self) -> int:
@@ -155,14 +139,6 @@ class MonomialIdeal(FrozenRecord):
             ) from None
         object.__setattr__(self, "context", context)
         self._set_rows(kernels.minimalize(checked))
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.context, self.rows) == (other.context, other.rows)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.context, self.rows))
 
     @classmethod
     def _of_antichain(cls, context: VariableContext, rows) -> "MonomialIdeal":

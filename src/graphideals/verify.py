@@ -38,16 +38,6 @@ class CheckResult(Record):
         self.cases = cases
         self.detail = detail
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.name, self.passed, self.cases, self.detail) == (
-                other.name,
-                other.passed,
-                other.cases,
-                other.detail,
-            )
-        return NotImplemented
-
 
 def random_weighted_graph(
     rng: random.Random,

@@ -22,6 +22,7 @@ from graphideals.graphs import (
     weighted_edge_ideal,
 )
 from graphideals.monomials import (
+    ContextMismatchError,
     MonomialIdeal,
     VariableContext,
     bracket_power,
@@ -556,6 +557,19 @@ class TestDecompositionValue:
         b = comp(X3, {0: 2, 1: 5})
         D = Decomposition(X3, (a, b))
         assert D.components == (b, a)
+
+    def test_context_checks(self):
+        # an equal context that is another object passes, as X3 itself
+        same = VariableContext.of_dimension(3)
+        other = VariableContext(("a", "b", "c"))
+        a = comp(X3, {1: 2})
+        assert same is not X3
+        assert Decomposition(same, (a,)).components == (a,)
+        assert comp(same, {1: 1}).contains(a)
+        with pytest.raises(ContextMismatchError):
+            Decomposition(other, (a,))
+        with pytest.raises(ContextMismatchError):
+            comp(other, {1: 1}).contains(a)
 
     def test_support_sizes(self):
         D = split_decompose(ideal(X3, (2, 2, 0), (0, 5, 5)))

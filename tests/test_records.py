@@ -1,8 +1,9 @@
 """The package's value classes: construction, equality, hashing, repr, freezing.
 
-Each class writes its own ``__init__``, ``__eq__`` and, when frozen,
-``__hash__``: equality holds within one class over all of its fields,
-and the hash is that of the field tuple.  The reprs are literal strings,
+Each class writes only its own ``__init__`` and takes ``__eq__`` and,
+when frozen, ``__hash__`` from ``graphideals._records``: equality holds
+within one class over all of its fields, and the hash is that of the
+field tuple.  The reprs are literal strings,
 so a change to any of them shows.  The import guard checks that
 importing the CLI loads none of ``dataclasses``, ``inspect`` or
 ``typing``, which cost a fresh process milliseconds before any work.
@@ -16,6 +17,7 @@ from pathlib import Path
 
 import pytest
 
+from graphideals._records import FrozenRecord, Record
 from graphideals.classify import SuspensionDecomposition, Verdict
 from graphideals.cli import CommandRequest, Report
 from graphideals.decompose import Decomposition, IrreducibleComponent
@@ -157,6 +159,15 @@ each_class = pytest.mark.parametrize(
     SPECS,
     ids=[spec[0].__name__ for spec in SPECS],
 )
+
+
+@each_class
+def test_equality_and_hash_come_from_records(
+    cls, fields, values, changed, text, frozen
+):
+    assert cls.__eq__ is Record.__eq__
+    if frozen:
+        assert cls.__hash__ is FrozenRecord.__hash__
 
 
 @each_class
