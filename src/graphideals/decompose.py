@@ -3,14 +3,17 @@
 An ideal generated by pure powers of distinct variables is m-irreducible.
 :func:`split_decompose` writes any monomial ideal as a finite intersection
 of such ideals by recursively splitting a mixed generator f = u*v into the
-two larger ideals (I + (u)) and (I + (v)) with u, v coprime.  Generators on
-pairwise disjoint sets of variables are decomposed apart and their
-components combined, an independence split after Roune's slice algorithm
-(J. Symbolic Comput. 44, 2009).  Containment between irreducible
-components reduces to a support/exponent comparison (:func:`_powers_leq`),
-which makes pruning exact: an intersection of m-irreducible ideals inside
-an m-irreducible ideal forces one factor inside it (lcm argument), so
-irredundant lists are unique and route-independent.  Generators and
+two larger ideals (I + (u)) and (I + (v)) with u, v coprime.  After
+Roune's slice algorithm (J. Symbolic Comput. 44, 2009), a lone pure power,
+one on a variable that no mixed generator raises, is peeled off as a
+fixed factor of every component, and generators on pairwise disjoint sets
+of variables are decomposed apart and their components combined, an
+independence split between parts that each hold a mixed generator.
+Containment between irreducible components reduces to a support/exponent
+comparison (:func:`_powers_leq`), which makes pruning exact: an
+intersection of m-irreducible ideals inside an m-irreducible ideal forces
+one factor inside it (lcm argument), so irredundant lists are unique and
+route-independent.  Generators and
 components are packed into one integer each, so that divisibility and
 containment are one subtraction (packed-vector divisibility after
 Bachmann & Schönemann, ISSAC 1998).  At a split f = u*v, with u a pure
@@ -87,6 +90,14 @@ class IrreducibleComponent(FrozenRecord):
         object.__setattr__(self, "context", context)
         object.__setattr__(self, "powers", powers)
 
+    @classmethod
+    def _of_powers(cls, context: VariableContext, powers) -> "IrreducibleComponent":
+        """Trusted: sorted int pairs, distinct indices in range, exponents >= 1."""
+        component = object.__new__(cls)
+        object.__setattr__(component, "context", context)
+        object.__setattr__(component, "powers", powers)
+        return component
+
     @property
     def support(self) -> tuple[int, ...]:
         return tuple(i for i, _ in self.powers)
@@ -161,6 +172,14 @@ class Decomposition(FrozenRecord):
         ordered = tuple(sorted(components, key=lambda c: c.powers))
         object.__setattr__(self, "components", ordered)
 
+    @classmethod
+    def _of_sorted(cls, context: VariableContext, components) -> "Decomposition":
+        """Trusted: a tuple of components on ``context``, in canonical order."""
+        decomposition = object.__new__(cls)
+        object.__setattr__(decomposition, "context", context)
+        object.__setattr__(decomposition, "components", components)
+        return decomposition
+
     def intersection(self) -> MonomialIdeal:
         """Intersect all components; recovers the decomposed ideal.
 
@@ -226,13 +245,17 @@ def split_decompose(
     Works on the ideal's canonical generator rows alone, each packed into
     one int by :class:`_PowersCodec` with its degree above the exponent
     fields, so the ints sort in graded-lex order; every subproblem is
-    memoized on its sorted tuple of packed rows.  At each node:
+    memoized on its sorted tuple of packed rows.  Before a subproblem is
+    looked up, its lone pure powers x_i^e (no mixed row raises x_i) are
+    peeled off: each is a fixed factor of every component, so the fields
+    of them all form one packed offset that the parent adds to each of the
+    subproblem's components.  Rows left empty are the zero ideal, the one
+    component P(empty).  Otherwise some mixed row is left, and at the node:
 
-    - if every generator is a pure power, they form the one component;
     - if the generators fall into parts on pairwise disjoint variables
-      (an independence split), each part is decomposed on its own and
-      the components are the cartesian product of the parts' lists,
-      which is irredundant as it stands;
+      (an independence split), each part holds a mixed row and is
+      decomposed on its own, and the components are the cartesian
+      product of the parts' lists, which is irredundant as it stands;
     - otherwise the first generator that is not a pure power splits into
       its lowest-variable pure-power factor u and the cofactor v, and
       the decompositions of I + (u) and I + (v) are merged by
@@ -243,7 +266,8 @@ def split_decompose(
     No generator divides u or v (it would divide the pivot), so adjoining
     either one drops its multiples and inserts it, a linear pass of one
     subtraction per row.  Each monomial's degree and support are computed
-    once, when it enters: as an input row, or as a pivot's u or v.  The
+    once, when it enters: as an input row, or as a pivot's u or v; the
+    peel and the nodes read the supports from that table.  The
     recursion runs on an explicit stack, so its depth is not bounded by
     Python's recursion limit.  Past ``max_components`` components at any
     split or product node, including while a product is being built,
@@ -268,15 +292,33 @@ def split_decompose(
         kept = [r for r in rows[at:] if ((r | guards) - m) & guards != guards]
         return (*rows[:at], m, *kept)
 
+    def peel(rows):
+        # a pure power on a variable no mixed row raises is a factor of
+        # every component: field k of the offset is top - e_k on its support
+        mixed = pure = 0
+        for r in rows:
+            s = support[r]
+            if s & (s - 1):
+                mixed |= s
+            else:
+                pure |= s
+        lone = pure & ~mixed
+        if not lone:
+            return rows, 0
+        rest = tuple(r for r in rows if support[r] & mixed)
+        return rest, codec.top * lone - ((sum(rows) - sum(rest)) & (degree_unit - 1))
+
     def over_cap():
         return DecompositionLimitError(
             f"decomposition exceeded {max_components} components"
         )
 
-    memo: dict[tuple, tuple] = {}
+    top_rows, offset = peel(top_rows)
+    memo: dict[tuple, tuple] = {(): (0,)}
     # a frame is (rows, None, None) until expanded, then (rows, children,
-    # the pivot's (u, v) or None); every child pushed above a frame is
-    # done by the time the frame is back on top
+    # the pivot's (u, v) or None), each child a (rows, offset) pair; every
+    # child pushed above a frame is done by the time the frame is back on
+    # top.  Peeled rows hold a mixed row unless they are empty.
     stack = [(top_rows, None, None)]
     while stack:
         rows, children, factors = stack[-1]
@@ -285,24 +327,16 @@ def split_decompose(
             continue
         if children is None:
             masks = [support[r] for r in rows]
-            for pivot, s in zip(rows, masks):
-                if s & (s - 1):
-                    break
-            else:
-                # pure powers on distinct variables: field k of the
-                # component is top - e_k on their support
-                total = sum(rows) & (degree_unit - 1)
-                memo[rows] = (codec.top * sum(masks) - total,)
-                stack.pop()
-                continue
+            # a pure power left here shares its variable with a mixed row
             parts = _independent_parts(masks)
             if len(parts) > 1:
                 children = [
-                    tuple(r for r, m in zip(rows, masks) if m & part)
+                    (tuple(r for r, m in zip(rows, masks) if m & part), 0)
                     for part in parts
                 ]
                 stack[-1] = (rows, children, None)
             else:
+                pivot, s = next((r, m) for r, m in zip(rows, masks) if m & (m - 1))
                 # u = x_i^e on the pivot's highest field, the lowest
                 # variable; its degree e goes above the fields
                 unit = 1 << (s.bit_length() - 1)
@@ -311,30 +345,32 @@ def split_decompose(
                 v = pivot - u
                 support[u] = unit
                 support[v] = s - unit
-                children = [adjoin(rows, u), adjoin(rows, v)]
+                children = [peel(adjoin(rows, u)), peel(adjoin(rows, v))]
                 stack[-1] = (rows, children, (u, v))
-            stack.extend((c, None, None) for c in children if c not in memo)
+            stack.extend((c, None, None) for c, _ in children if c not in memo)
             continue
         if factors is None:
             comps = (0,)
-            for child in children:
+            for child, _ in children:
                 sub = memo[child]
                 if len(comps) * len(sub) > max_components:
                     raise over_cap()
                 # disjoint variables: adding packed fields merges them
                 comps = tuple(a + b for a in comps for b in sub)
         else:
-            left, right = memo[children[0]], memo[children[1]]
+            left, right = (
+                [p + off for p in memo[c]] if off else memo[c] for c, off in children
+            )
             comps = _split_prune(left, right, *factors, codec)
             if len(comps) > max_components:
                 raise over_cap()
         memo[rows] = comps
         stack.pop()
 
-    components = tuple(
-        IrreducibleComponent(context, codec.unpack(p)) for p in memo[top_rows]
+    powers = sorted(codec.unpack(p + offset) for p in memo[top_rows])
+    return Decomposition._of_sorted(
+        context, tuple(IrreducibleComponent._of_powers(context, p) for p in powers)
     )
-    return Decomposition(context, components)
 
 
 def _independent_parts(masks):
@@ -378,6 +414,7 @@ class _PowersCodec:
         self.fields_bits = dimension * self.width
         self.units = sum(1 << s for s in self.shifts)
         self.guards = self.units << self.bits
+        self.index = {s: k for k, s in enumerate(self.shifts)}
 
     def pack_row(self, row) -> int:
         fields = sum(e << s for e, s in zip(row, self.shifts))
@@ -392,16 +429,14 @@ class _PowersCodec:
         return (((packed | guards) - self.units) & guards) >> self.bits
 
     def unpack(self, packed) -> tuple[tuple[int, int], ...]:
-        top, width, field = self.top, self.width, self.field
+        # only the fields on the support, from variable 0's down
+        top, field, index = self.top, self.field, self.index
+        mask = self.support(packed)
         powers = []
-        i = len(self.shifts)
-        while packed:
-            i -= 1
-            f = packed & field
-            if f:
-                powers.append((i, top - f))
-            packed >>= width
-        powers.reverse()
+        while mask:
+            at = mask.bit_length() - 1
+            mask ^= 1 << at
+            powers.append((index[at], top - ((packed >> at) & field)))
         return tuple(powers)
 
 

@@ -445,7 +445,8 @@ def enumerate_minimal_covers(
     """
     context = graph.context
     found = _maximal_thresholds(graph.adjacency, max_components)
-    return [IrreducibleComponent(context, entries) for entries in found]
+    # sorted (vertex, threshold) tuples, thresholds being edge weights
+    return [IrreducibleComponent._of_powers(context, entries) for entries in found]
 
 
 def cover_decomposition(
@@ -460,7 +461,7 @@ def cover_decomposition(
     ``max_components`` components.
     """
     covers = enumerate_minimal_covers(graph, max_components)
-    return Decomposition(graph.context, tuple(covers))
+    return Decomposition._of_sorted(graph.context, tuple(covers))
 
 
 class UnmixednessResult(FrozenRecord):

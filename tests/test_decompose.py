@@ -29,7 +29,7 @@ from graphideals.monomials import (
     ideal_eq,
     intersect,
 )
-from graphideals.verify import random_weighted_graph
+from graphideals.verify import exhaustive_weighted_graphs, random_weighted_graph
 from test_monomials import is_m_irreducible
 
 X3 = VariableContext.of_dimension(3)
@@ -300,6 +300,144 @@ class TestIndependenceSplits:
         g = weighted_graph(2 * k, [Edge(2 * i, 2 * i + 1, 2) for i in range(k)])
         with pytest.raises(DecompositionLimitError, match="1000 components"):
             split_decompose(weighted_edge_ideal(g), max_components=1000)
+
+
+def seeded_peel_ideal(rng, mixed_rows):
+    """Mixed generators on the first n variables, plus pure powers on
+    about half of all variables, each above every mixed row's exponent
+    there, so that none divides a mixed row.  A pure power past the first n, or
+    on a variable no mixed row raises, is lone at the top; one on a mixed
+    row's variable turns lone once the pivots drop every mixed row that
+    raises it."""
+    d = rng.randint(2, 8)
+    n = rng.randint(2, d)
+    rows = []
+    for _ in range(mixed_rows):
+        row = [0] * d
+        for k in rng.sample(range(n), rng.randint(2, n)):
+            row[k] = rng.choice((1, 2, 3, 10**20))
+        rows.append(tuple(row))
+    for k in range(d):
+        if rng.random() < 0.5:
+            e = max((r[k] for r in rows), default=0) + rng.randint(1, 3)
+            rows.append(tuple(e if j == k else 0 for j in range(d)))
+    return MonomialIdeal(VariableContext.of_dimension(d), rows)
+
+
+def mixed_rows(I):
+    return sum(1 for r in I.rows if sum(1 for e in r if e) > 1)
+
+
+def has_lone_power(I):
+    supports = [{i for i, e in enumerate(r) if e} for r in I.rows]
+    mixed = set().union(*(s for s in supports if len(s) > 1))
+    return any(len(s) == 1 and not s & mixed for s in supports)
+
+
+class TestLonePurePowers:
+    """The split route peels a pure power that no mixed row shares a
+    variable with into a fixed factor of every component."""
+
+    @staticmethod
+    def assert_decomposes(I):
+        D = split_decompose(I)
+        assert ideal_eq(D.intersection(), I)
+        for c in D.components:
+            assert is_m_irreducible(c.ideal())
+        for a, b in itertools.permutations(D.components, 2):
+            assert not a.contains(b)
+        return D
+
+    def test_pure_powers_only(self):
+        rng = random.Random(1601)
+        for _ in range(60):
+            I = seeded_peel_ideal(rng, 0)
+            D = self.assert_decomposes(I)
+            powers = {r.index(e): e for r in I.rows for e in r if e}
+            assert D.components == (comp(I.context, powers),)
+
+    def test_one_mixed_row(self):
+        rng = random.Random(1602)
+        cases = [seeded_peel_ideal(rng, 1) for _ in range(150)]
+        assert sum(map(has_lone_power, cases)) > 50
+        for I in cases:
+            assert mixed_rows(I) == 1
+            self.assert_decomposes(I)
+
+    def test_several_mixed_rows(self):
+        rng = random.Random(1603)
+        cases = [seeded_peel_ideal(rng, rng.randint(2, 4)) for _ in range(150)]
+        assert sum(map(has_lone_power, cases)) > 50
+        for I in cases:
+            assert mixed_rows(I) >= 1
+            self.assert_decomposes(I)
+
+    def test_zero_ideal(self):
+        for d in (1, 3):
+            X = VariableContext.of_dimension(d)
+            D = self.assert_decomposes(MonomialIdeal.zero(X))
+            assert D == Decomposition(X, (IrreducibleComponent(X, ()),))
+
+    def test_edge_ideals_peel_after_pivots(self):
+        # an edge ideal has no pure power, but I + (x_v^w) with v a leaf
+        # holds x_v^w lone, and so do stars and paths at every leaf
+        rng = random.Random(1604)
+        graphs = [seeded_forest(rng) for _ in range(40)]
+        graphs += [random_weighted_graph(rng, max_vertices=7) for _ in range(80)]
+        for n in (3, 9):
+            star = [Edge(0, i + 1, 1 + i % 3) for i in range(n)]
+            path = [Edge(i, i + 1, 1 + i % 2) for i in range(n)]
+            graphs += [weighted_graph(n + 1, star), weighted_graph(n + 1, path)]
+        for g in graphs:
+            D = self.assert_decomposes(weighted_edge_ideal(g))
+            assert D.components == cover_decomposition(g).components, g
+
+    def test_cap_with_lone_powers(self):
+        # k disjoint edges, an unused variable and two lone pure powers:
+        # the powers only extend every component, so the count stays 2^k
+        k = 5
+        d = 2 * k + 3
+        rows = [
+            tuple(i + 1 if j in (2 * i, 2 * i + 1) else 0 for j in range(d))
+            for i in range(k)
+        ]
+        for m in (2 * k + 1, 2 * k + 2):
+            rows.append(tuple(m - 2 * k if j == m else 0 for j in range(d)))
+        I = MonomialIdeal(VariableContext.of_dimension(d), rows)
+        assert has_lone_power(I)
+        D = split_decompose(I, max_components=2**k)
+        assert len(D) == 2**k
+        lone = ((2 * k + 1, 1), (2 * k + 2, 2))
+        assert all(c.powers[-2:] == lone for c in D.components)
+        with pytest.raises(DecompositionLimitError):
+            split_decompose(I, max_components=2**k - 1)
+
+
+class TestTrustedConstructors:
+    """Both routes build their output with IrreducibleComponent._of_powers
+    and Decomposition._of_sorted; the validating constructors are the
+    oracle: the same value, hash, repr and str."""
+
+    def test_both_routes_on_small_graphs(self):
+        graphs = list(exhaustive_weighted_graphs(4))
+        assert len(graphs) == 760
+        for g in graphs:
+            X = g.context
+            routes = (split_decompose(weighted_edge_ideal(g)), cover_decomposition(g))
+            for D in routes:
+                assert type(D.components) is tuple
+                canonical = sorted(D.components, key=lambda c: c.powers)
+                assert list(D.components) == canonical
+                oracle = Decomposition(X, D.components)
+                assert D == oracle and hash(D) == hash(oracle)
+                assert repr(D) == repr(oracle)
+                for c in D.components:
+                    oracle = IrreducibleComponent(X, c.powers)
+                    trusted = IrreducibleComponent._of_powers(X, c.powers)
+                    for built in (c, trusted):
+                        assert built == oracle and hash(built) == hash(oracle)
+                        assert repr(built) == repr(oracle)
+                        assert str(built) == str(oracle)
 
 
 def route_graph(name):

@@ -385,6 +385,25 @@ class TestCrossPrune:
         for powers in [(), ((0, 1),), ((1, 10**20), (3, 7))]:
             assert codec.unpack(pack(codec, powers)) == powers
         assert pack(codec, ()) == 0
+        # unpack reads only the support's fields: seeded components of
+        # every width, with the first and last variable forced in half of
+        # them, and the largest exponent M - 1 whose field holds 1
+        rng = random.Random(20261019)
+        for trial in range(300):
+            dim = rng.randint(1, 9)
+            max_exp = rng.choice((1, 2, 5, 10**20))
+            codec = _PowersCodec(dim, max_exp)
+            powers = dict(random_powers(rng, dim, max_exp))
+            if trial % 2:
+                for i in (0, dim - 1):
+                    powers.setdefault(i, rng.choice((1, max_exp)))
+            powers = tuple(sorted(powers.items()))
+            packed = pack(codec, powers)
+            assert codec.unpack(packed) == powers
+            assert codec.unpack(0) == ()
+        codec = _PowersCodec(40, 10**20)
+        ends = ((0, 10**20), (39, 1))
+        assert codec.unpack(pack(codec, ends)) == ends
 
     def test_component_on_both_sides_kept_once(self):
         # the triangle split at its first generator X2*X3, u = X2, v = X3
