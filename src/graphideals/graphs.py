@@ -23,7 +23,10 @@ threshold: maximal independent sets are exactly the componentwise-maximal
 feasible thresholds, which are the minimal covers.  With unit weights
 L(G) is G without its isolated vertices, and this is the classical fact
 that minimal vertex covers complement maximal independent sets.  L(G)
-has at most 2|E| nodes.
+has at most 2|E| nodes.  Since a set holds a prefix of each vertex's
+run of levels, the lowest node of v it leaves out is (v, t(v)); a table
+of the nodes and a mask of the runs' first nodes find those nodes
+directly, so decoding a set costs O(|cover|), not O(|V|).
 """
 
 from __future__ import annotations
@@ -338,14 +341,6 @@ def minimize_cover(
     return IrreducibleComponent(graph.context, tuple(entries.items()))
 
 
-def _bits(mask: int):
-    """Indices of the set bits of ``mask``, lowest first."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
 def _level_graph(adjacency) -> tuple[list[int], list[list[int]], list[int]]:
     """Closed neighbourhoods of the level graph L(G), as bitmasks.
 
@@ -380,30 +375,46 @@ def _maximal_independent_sets(closed: list[int]) -> Iterator[int]:
     candidates, excluded); total time O(3^(N/3)) on N nodes (Tomita,
     Tanaka & Takahashi, TCS 363, 2006).  A candidate with no other
     candidate neighbour is in every maximal extension, so all such
-    candidates are chosen in one step.  An excluded node with no
-    candidate neighbour left to block it has nothing to branch on, so as
-    the pivot it cuts the frame.
+    candidates are chosen in one step.  The pivot is the first node of
+    candidates | excluded with the fewest candidate neighbours; an
+    excluded node with none left to block it has nothing to branch on,
+    so as the pivot it cuts the frame.
     """
-    stack = [(0, (1 << len(closed)) - 1, 0)]
+    nodes = len(closed)
+    stack = [(0, (1 << nodes) - 1, 0)]
     while stack:
         chosen, cand, done = stack.pop()
         lone = 0
-        for u in _bits(cand):
-            if cand & closed[u] == 1 << u:
-                lone |= 1 << u
-        if lone:
-            chosen |= lone
-            cand ^= lone
-            for u in _bits(lone):
-                done &= ~closed[u]
+        m = cand
+        while m:
+            low = m & -m
+            near = closed[low.bit_length() - 1]
+            if cand & near == low:
+                lone |= low
+                done &= ~near
+            m ^= low
+        chosen |= lone
+        cand ^= lone
         if not cand | done:
             yield chosen
             continue
-        pivot = min(_bits(cand | done), key=lambda u: (cand & closed[u]).bit_count())
-        for v in _bits(cand & closed[pivot]):
-            stack.append((chosen | 1 << v, cand & ~closed[v], done & ~closed[v]))
-            cand ^= 1 << v
-            done |= 1 << v
+        m = cand | done
+        fewest = nodes + 1
+        while m:
+            low = m & -m
+            u = low.bit_length() - 1
+            count = (cand & closed[u]).bit_count()
+            if count < fewest:
+                pivot, fewest = u, count
+            m ^= low
+        m = cand & closed[pivot]
+        while m:
+            low = m & -m
+            keep = ~closed[low.bit_length() - 1]
+            stack.append((chosen | low, cand & keep, done & keep))
+            cand ^= low
+            done |= low
+            m ^= low
 
 
 def _maximal_thresholds(adjacency, max_components: int) -> list[tuple]:
@@ -411,20 +422,31 @@ def _maximal_thresholds(adjacency, max_components: int) -> list[tuple]:
 
     Each maximal independent set S of the level graph decodes to one
     minimal cover: t(v) is the smallest level of v with (v, t(v)) not in
-    S, and v is out of the cover when all its levels are in S.
+    S, and v is out of the cover when all its levels are in S.  S holds
+    a prefix of each vertex's run of levels, so the nodes it leaves out
+    form a suffix of each run, whose lowest node is (v, t(v)).  Those
+    are the nodes left out whose predecessor is either in S or ends
+    another run; with a node table and a mask of run starts, decoding S
+    costs O(|cover|), not O(number of vertices).
     """
     closed, levels, base = _level_graph(adjacency)
+    entry = [(v, a) for v, ls in enumerate(levels) for a in ls]
+    # only non-empty runs: an empty run's base is the next run's start
+    starts = sum(1 << base[v] for v, ls in enumerate(levels) if ls)
+    full = (1 << len(entry)) - 1
     found = []
     for chosen in _maximal_independent_sets(closed):
         if len(found) == max_components:
             raise DecompositionLimitError(
                 f"cover enumeration exceeded {max_components} components"
             )
+        out = full & ~chosen
+        lows = out & ~((out << 1) & ~starts)
         entries = []
-        for v, ls in enumerate(levels):
-            k = ((chosen >> base[v]) & ((1 << len(ls)) - 1)).bit_count()
-            if k < len(ls):
-                entries.append((v, ls[k]))
+        while lows:
+            low = lows & -lows
+            entries.append(entry[low.bit_length() - 1])
+            lows ^= low
         found.append(tuple(entries))
     return sorted(found)
 
@@ -439,8 +461,10 @@ def enumerate_minimal_covers(
     search, whose total time is O(3^(N/3)) on the N <= 2|E| nodes of
     L(G) (Tomita, Tanaka & Takahashi, TCS 363, 2006); no bound on the
     work between two consecutive covers is claimed, so the component
-    cap bounds the output, not the time.  Every set found is a distinct
-    minimal cover, so no minimality sweep follows.
+    cap bounds the output, not the time.  Each set decodes to its cover
+    in O(|cover|) through a node table and a mask of run starts, as a
+    set holds a prefix of every vertex's levels.  Every set found is a
+    distinct minimal cover, so no minimality sweep follows.
     Raises DecompositionLimitError past ``max_components`` covers.
     """
     context = graph.context

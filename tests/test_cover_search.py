@@ -9,7 +9,9 @@ every edge and lose that property when any vertex is dropped.  Both scan
 the edge list directly, so they share nothing with the search or the
 graph's adjacency table.  The maximal-independent-set enumerator is also
 checked on its own against networkx's clique enumeration on the
-complement, and the level graph against its definition.
+complement, the level graph against its definition, and the decode of
+each maximal independent set into cover thresholds against its
+definition.
 """
 
 import itertools
@@ -224,6 +226,20 @@ class TestMaximalIndependentSets:
         for _ in range(300):
             n, p = rng.randint(1, 14), rng.random()
             graphs.append(networkx.gnp_random_graph(n, p, rng.randrange(10**6)))
+        # dense graphs, where frames often cut at an excluded pivot
+        for _ in range(60):
+            n, p = rng.randint(10, 18), rng.choice((0.7, 0.9))
+            graphs.append(networkx.gnp_random_graph(n, p, rng.randrange(10**6)))
+        # isolated nodes, which the lone-candidate pass chooses outright
+        for _ in range(60):
+            n, p = rng.randint(2, 16), rng.choice((0.3, 0.7, 0.9))
+            h = networkx.gnp_random_graph(n, p, rng.randrange(10**6))
+            for v in rng.sample(range(n), rng.randint(1, min(3, n))):
+                h.remove_edges_from(list(h.edges(v)))
+            graphs.append(h)
+        assert any(
+            h.number_of_edges() and min(d for _, d in h.degree) == 0 for h in graphs
+        )
         for h in graphs:
             closed = [
                 1 << i | sum(1 << j for j in h[i]) for i in range(h.number_of_nodes())
@@ -237,6 +253,68 @@ class TestMaximalIndependentSets:
                 for c in networkx.find_cliques(networkx.complement(h))
             )
             assert found == expected, sorted(h.edges)
+
+
+def definitional_decode(graph, mask):
+    """Cover entries of a maximal independent set of L(G), by definition:
+    t(v) is the smallest level of v whose node is not in the set, and v
+    is out of the cover when all its levels are in it."""
+    entries = []
+    node = 0
+    for v in range(graph.vertex_count):
+        levels = graph.incident_weights(v)
+        missing = [a for k, a in enumerate(levels) if not mask >> (node + k) & 1]
+        if missing:
+            entries.append((v, missing[0]))
+        node += len(levels)
+    return tuple(entries)
+
+
+def decode_corpus(count, seed):
+    """Seeded graphs with isolated vertices first, in the middle and last,
+    up to 5 distinct weights at a vertex, edgeless graphs and single edges."""
+    rng = random.Random(seed)
+
+    def graph(d, edges):
+        return WeightedGraph(tuple(f"v{i + 1}" for i in range(d)), tuple(edges))
+
+    graphs = [graph(d, ()) for d in (1, 2, 5)]
+    for d, u, v in [(2, 0, 1), (3, 1, 2), (3, 0, 2), (3, 0, 1), (5, 1, 3)]:
+        graphs += [graph(d, [Edge(u, v, w)]) for w in (1, 4, 10**20)]
+    for _ in range(count):
+        d = rng.randint(2, 8)
+        isolated = set(rng.sample(range(d), rng.randint(0, min(3, d - 1))))
+        isolated.add(rng.choice((0, d // 2, d - 1)))
+        edges = [
+            Edge(u, v, rng.randint(1, 5))
+            for u, v in itertools.combinations(range(d), 2)
+            if not {u, v} & isolated and rng.random() < 0.6
+        ]
+        graphs.append(graph(d, edges))
+    return graphs
+
+
+class TestThresholdDecode:
+    def test_against_definitional_decode(self):
+        graphs = decode_corpus(400, seed=9)
+        isolated_at = set()
+        for g in graphs:
+            last = g.vertex_count - 1
+            for v in range(g.vertex_count):
+                if g.edges and not g.degree(v):
+                    isolated_at.add(
+                        "first" if v == 0 else "last" if v == last else "middle"
+                    )
+        assert isolated_at == {"first", "middle", "last"}
+        assert any(
+            len(g.incident_weights(v)) == 5
+            for g in graphs
+            for v in range(g.vertex_count)
+        )
+        for g in graphs:
+            masks = _maximal_independent_sets(_level_graph(g.adjacency)[0])
+            expected = sorted(definitional_decode(g, mask) for mask in masks)
+            assert _maximal_thresholds(g.adjacency, 10**9) == expected, g
 
 
 class TestDeepSearch:
