@@ -183,45 +183,38 @@ def classify_complete(graph: WeightedGraph) -> Verdict:
 
 
 def recognize_suspensions(graph: WeightedGraph) -> list[SuspensionDecomposition]:
-    """All ways to read the graph as a base plus one whisker per base vertex.
+    """Every split of the graph into base vertices and whiskers.
 
-    A valid split takes half the vertices, all of degree 1, and matches
-    them bijectively to the other half through their unique edges.  An odd
-    vertex count admits none.  A single edge admits two (either endpoint
-    may serve as the whisker).
+    These are :func:`suspension_split`'s split with the whisker of any
+    subset of its isolated edges moved to the other end: 2**k splits for
+    k isolated edges, or none.  They are listed by their sorted whisker
+    vertices, in time linear in the graph plus the output.  A single edge
+    admits two splits; an odd vertex count, an isolated vertex or two
+    leaves on one vertex admit none.
     """
-    d = graph.vertex_count
-    if d % 2:
+    split = suspension_split(graph)
+    if split is None:
         return []
-    leaves = [v for v in range(d) if graph.degree(v) == 1]
+    fixed = [(a, w) for a, w in split.whiskers if graph.degree(a) > 1]
+    # the smaller end of each isolated edge first, edges by their smaller
+    # end: the product then runs in the order of the sorted whiskers
+    isolated = sorted((w, a) for a, w in split.whiskers if graph.degree(a) == 1)
     out = []
-    for choice in itertools.combinations(leaves, d // 2):
-        whisker_set = set(choice)
-        base = [v for v in range(d) if v not in whisker_set]
-        mapping = {}
-        ok = True
-        for w in choice:
-            anchor = graph.neighbors(w)[0]
-            if anchor in whisker_set or anchor in mapping:
-                ok = False
-                break
-            mapping[anchor] = w
-        if ok and len(mapping) == len(base):
-            out.append(
-                SuspensionDecomposition(tuple(base), tuple(mapping.items()))
-            )
+    for chosen in itertools.product(*(((a, w), (w, a)) for w, a in isolated)):
+        pairs = (*fixed, *chosen)
+        out.append(SuspensionDecomposition(tuple(a for a, _ in pairs), pairs))
     return out
 
 
 def suspension_split(graph: WeightedGraph) -> SuspensionDecomposition | None:
-    """The first split :func:`recognize_suspensions` lists, in linear time.
+    """One split into base vertices and whiskers, in linear time; None if none.
 
-    A leaf whose neighbor is not a leaf must be a whisker, and every
-    other vertex outside an isolated edge must be a base vertex, so the
-    splits differ only in which end of each isolated edge is the whisker;
-    this one takes the smaller index.  Isolated edges join no base edge,
-    so the weight condition gives every split the same verdict.  Returns
-    None when no split pairs every vertex.
+    A split pairs every vertex: each base vertex with one whisker, a leaf
+    hanging from it.  A leaf whose neighbor is not a leaf must be a
+    whisker and every other vertex outside an isolated edge a base vertex,
+    so splits differ only in which end of each isolated edge is the
+    whisker; this one takes the smaller index.  Isolated edges join no
+    base edge, so the weight condition gives every split one verdict.
     """
     adjacency = graph.adjacency
     whisker_of = {}
@@ -240,19 +233,20 @@ def suspension_split(graph: WeightedGraph) -> SuspensionDecomposition | None:
 
 
 def _validate_suspension(graph: WeightedGraph, dec: SuspensionDecomposition):
-    whisker_of = dec.whisker_of()
-    base = set(dec.base_vertices)
-    whiskers = set(whisker_of.values())
-    if len(whisker_of) != len(whiskers) or base & whiskers:
-        raise FamilyMismatchError("whisker map must pair distinct vertices")
-    if base | whiskers != set(range(graph.vertex_count)):
-        raise FamilyMismatchError("decomposition must partition the vertices")
-    for anchor, w in whisker_of.items():
-        if graph.degree(w) != 1 or graph.neighbors(w)[0] != anchor:
-            raise FamilyMismatchError(
-                f"vertex {graph.vertex_names[w]} is not a whisker of"
-                f" {graph.vertex_names[anchor]}"
-            )
+    """Raise unless ``dec`` is one of :func:`recognize_suspensions`' splits."""
+    split = suspension_split(graph)
+    if (
+        split is None
+        or len(dec.whiskers) != len(split.whiskers)
+        or {frozenset(pair) for pair in dec.whiskers}
+        != {frozenset(pair) for pair in split.whiskers}
+        or any(graph.degree(w) != 1 for _, w in dec.whiskers)
+        or dec.base_vertices != tuple(a for a, _ in dec.whiskers)
+    ):
+        raise FamilyMismatchError(
+            "the decomposition does not split the graph into base vertices"
+            " and their whiskers"
+        )
 
 
 def _suspension_condition(graph: WeightedGraph, dec: SuspensionDecomposition):
@@ -302,8 +296,11 @@ def _suspension_verdict(
 def classify_suspension(graph: WeightedGraph, dec: SuspensionDecomposition) -> Verdict:
     """Verdict for a graph presented with a suspension decomposition.
 
-    CM, equivalently unmixed, exactly when every base edge weighs no more
-    than the whisker edges at both endpoints.
+    ``dec`` must be one of the splits :func:`recognize_suspensions` lists,
+    which is checked in linear time without listing them; any other
+    decomposition raises :class:`FamilyMismatchError`.  CM, equivalently
+    unmixed, exactly when every base edge weighs no more than the whisker
+    edges at both endpoints.
     """
     _validate_suspension(graph, dec)
     return _suspension_verdict(

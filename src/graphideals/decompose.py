@@ -49,8 +49,9 @@ class IrreducibleComponent(FrozenRecord):
     _fields = ("context", "powers")
 
     def __init__(self, context: VariableContext, powers: tuple[tuple[int, int], ...]):
-        # one pass; both routes hand over sorted tuple pairs, which are
-        # kept as they are
+        # one pass; sorted tuple pairs are kept as they are.  Both routes
+        # build through _of_powers, so only verify, minimize_cover and the
+        # CLI's --cover reach this
         try:
             powers = tuple(powers)
         except TypeError:

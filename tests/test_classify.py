@@ -2,7 +2,9 @@
 
 Every classifier verdict is cross-checked against brute-force minimal
 weighted cover enumeration on small exhaustive corpora, so the golden
-values here never rest on the classifier alone.
+values here never rest on the classifier alone.  The suspension splits
+are checked against ``exhaustive_suspensions``, the search over every
+set of d/2 leaves that the library replaced with a linear rule.
 """
 
 import itertools
@@ -39,6 +41,54 @@ from graphideals.graphs import (
     suspend,
 )
 from graphideals.verify import exhaustive_weighted_graphs, random_weighted_graph
+
+
+def exhaustive_suspensions(graph):
+    """Every split, by trying each set of d/2 leaves as the whiskers.
+
+    The definition read directly: the chosen leaves' neighbors must be
+    distinct, must not be chosen themselves, and must be all the other
+    vertices.  Lists the splits by their sorted whisker vertices.
+    """
+    d = graph.vertex_count
+    if d % 2:
+        return []
+    leaves = [v for v in range(d) if graph.degree(v) == 1]
+    out = []
+    for choice in itertools.combinations(leaves, d // 2):
+        whisker_set = set(choice)
+        base = [v for v in range(d) if v not in whisker_set]
+        mapping = {}
+        ok = True
+        for w in choice:
+            anchor = graph.neighbors(w)[0]
+            if anchor in whisker_set or anchor in mapping:
+                ok = False
+                break
+            mapping[anchor] = w
+        if ok and len(mapping) == len(base):
+            out.append(SuspensionDecomposition(tuple(base), tuple(mapping.items())))
+    return out
+
+
+def with_isolated_edges(graph, count, isolated_vertices):
+    """``graph`` plus ``count`` isolated unit edges and isolated vertices."""
+    d = graph.vertex_count
+    names = graph.vertex_names + tuple(
+        f"x{i}" for i in range(2 * count + isolated_vertices)
+    )
+    edges = graph.edges + tuple(
+        Edge(d + 2 * i, d + 2 * i + 1, 1) for i in range(count)
+    )
+    return WeightedGraph(names, edges)
+
+
+def shuffled(graph, rng):
+    """The same graph with its vertex indices permuted."""
+    order = list(range(graph.vertex_count))
+    rng.shuffle(order)
+    edges = tuple(Edge(order[u], order[v], w) for u, v, w in graph.edges)
+    return WeightedGraph(graph.vertex_names, edges)
 
 
 def rotations_and_reflections(weights):
@@ -161,12 +211,46 @@ class TestRecognizeSuspensions:
     def test_triangle_none(self):
         assert recognize_suspensions(cycle_graph([1, 1, 1])) == []
 
+    def test_matches_oracle_small_graphs(self):
+        # weights play no part in which vertices split
+        for g in exhaustive_weighted_graphs(5, weights=(1,)):
+            assert recognize_suspensions(g) == exhaustive_suspensions(g), g
+
+    def test_matches_oracle_with_isolated_edges(self):
+        rng = random.Random(20261019)
+        for trial in range(60):
+            base = random_weighted_graph(rng, max_vertices=4, edge_probability=0.5)
+            g = suspend(base, [1] * base.vertex_count)
+            for isolated_vertices in (0, 1):
+                h = shuffled(
+                    with_isolated_edges(g, rng.randint(1, 6), isolated_vertices), rng
+                )
+                assert recognize_suspensions(h) == exhaustive_suspensions(h), h
+
+    def test_large_stars_none(self):
+        for leaves in (41, 201):
+            star = WeightedGraph(
+                ("hub",) + tuple(f"l{i}" for i in range(leaves)),
+                tuple(Edge(0, i, 1) for i in range(1, leaves + 1)),
+            )
+            assert recognize_suspensions(star) == []
+
+    def test_twelve_isolated_edges(self):
+        g = WeightedGraph(
+            tuple(f"v{i}" for i in range(24)),
+            tuple(Edge(2 * i, 2 * i + 1, 1) for i in range(12)),
+        )
+        decs = recognize_suspensions(g)
+        assert len(decs) == len(set(decs)) == 4096
+        for dec in decs:
+            assert classify_suspension(g, dec).cohen_macaulay == CM_YES
+
 
 class TestSuspensionSplit:
-    """suspension_split finds recognize_suspensions(g)[0] without search."""
+    """suspension_split finds the exhaustive search's first split."""
 
     def assert_first_split(self, g):
-        decs = recognize_suspensions(g)
+        decs = exhaustive_suspensions(g)
         assert suspension_split(g) == (decs[0] if decs else None)
 
     def test_exhaustive_small_graphs(self):
@@ -236,6 +320,45 @@ class TestSuspensionVerdicts:
         bogus = SuspensionDecomposition((0, 1), ((0, 1), (1, 0)))
         with pytest.raises(FamilyMismatchError):
             classify_suspension(g, bogus)
+
+    def test_base_vertex_without_whisker_rejected(self):
+        # path a-b-c with whisker w on a: b and c have no whiskers
+        g = WeightedGraph(("a", "b", "c", "w"), ((0, 1, 1), (1, 2, 1), (0, 3, 1)))
+        with pytest.raises(FamilyMismatchError):
+            classify_suspension(g, SuspensionDecomposition((0, 1, 2), ((0, 3),)))
+
+    def test_isolated_base_vertex_rejected(self):
+        # edge a-w plus the isolated vertex b, which has no whisker
+        g = WeightedGraph(("a", "b", "w"), ((0, 2, 1),))
+        with pytest.raises(FamilyMismatchError):
+            classify_suspension(g, SuspensionDecomposition((0, 1), ((0, 2),)))
+
+    def test_accepts_exactly_the_oracle_splits(self):
+        # every base subset and every multiset of up to 3 ordered pairs
+        candidates = accepted = expected = 0
+        for g in exhaustive_weighted_graphs(4, weights=(1,)):
+            d = g.vertex_count
+            splits = exhaustive_suspensions(g)
+            expected += len(splits)
+            pairs = list(itertools.permutations(range(d), 2))
+            bases = [
+                base
+                for r in range(d + 1)
+                for base in itertools.combinations(range(d), r)
+            ]
+            for k in range(4):
+                for whiskers in itertools.combinations_with_replacement(pairs, k):
+                    for base in bases:
+                        dec = SuspensionDecomposition(base, whiskers)
+                        candidates += 1
+                        try:
+                            classify_suspension(g, dec)
+                        except FamilyMismatchError:
+                            assert dec not in splits, (g, dec)
+                        else:
+                            assert dec in splits, (g, dec)
+                            accepted += 1
+        assert (candidates, accepted) == (471378, expected)
 
 
 class TestTreeVerdicts:
