@@ -235,18 +235,22 @@ def suspension_split(graph: WeightedGraph) -> SuspensionDecomposition | None:
 def _validate_suspension(graph: WeightedGraph, dec: SuspensionDecomposition):
     """Raise unless ``dec`` is one of :func:`recognize_suspensions`' splits."""
     split = suspension_split(graph)
-    if (
-        split is None
-        or len(dec.whiskers) != len(split.whiskers)
-        or {frozenset(pair) for pair in dec.whiskers}
-        != {frozenset(pair) for pair in split.whiskers}
-        or any(graph.degree(w) != 1 for _, w in dec.whiskers)
-        or dec.base_vertices != tuple(a for a, _ in dec.whiskers)
-    ):
-        raise FamilyMismatchError(
-            "the decomposition does not split the graph into base vertices"
-            " and their whiskers"
-        )
+    if split is not None:
+        # each entry, read as a (base, whisker) pair, names one of split's
+        # whisker edges; only an isolated edge may be read either way
+        edge_of = {(w, a): (a, w) for a, w in split.whiskers if graph.degree(a) == 1}
+        edge_of.update((pair, pair) for pair in split.whiskers)
+        try:
+            edges = tuple(sorted(edge_of[a, w] for a, w in dec.whiskers))
+            bases = tuple(a for a, _ in dec.whiskers)
+        except (KeyError, TypeError, ValueError):
+            edges = bases = None
+        if edges == split.whiskers and bases == dec.base_vertices:
+            return
+    raise FamilyMismatchError(
+        "the decomposition does not split the graph into base vertices"
+        " and their whiskers"
+    )
 
 
 def _suspension_condition(graph: WeightedGraph, dec: SuspensionDecomposition):

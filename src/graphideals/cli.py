@@ -203,7 +203,8 @@ def _parse_cover_option(graph, text: str) -> IrreducibleComponent:
         raise CommandError("parse", "empty cover given")
     if len(dict(entries)) != len(entries):
         raise CommandError("validation", "cover vertices must be distinct")
-    return IrreducibleComponent(graph.context, tuple(entries))
+    # known vertices, int weights >= 1, distinct: only the order is left
+    return IrreducibleComponent._of_powers(graph.context, tuple(sorted(entries)))
 
 
 def _cmd_minimize(graph, options) -> dict:

@@ -44,22 +44,23 @@ class IrreducibleComponent(FrozenRecord):
     kept sorted by index.  The empty tuple is the zero ideal.  Over a
     graph's context the same pairs are the weighted vertex cover (V', d'):
     vertex v carries weight d'(v), the exponent of X_v.
+
+    A value is checked once, where it enters: this constructor checks and
+    sorts pairs from outside the library and verify's candidate covers.
+    Every component the library builds (both routes, ``minimize_cover``,
+    the CLI's ``--cover``) goes through :meth:`_of_powers`.
     """
 
     _fields = ("context", "powers")
 
     def __init__(self, context: VariableContext, powers: tuple[tuple[int, int], ...]):
-        # one pass; sorted tuple pairs are kept as they are.  Both routes
-        # build through _of_powers, so only verify, minimize_cover and the
-        # CLI's --cover reach this
         try:
             powers = tuple(powers)
         except TypeError:
             raise ValueError(
                 f"component powers must be a sequence of pairs, got {powers!r}"
             ) from None
-        last = -1
-        canonical = True
+        pairs = []
         for pair in powers:
             try:
                 i, e = pair
@@ -67,7 +68,7 @@ class IrreducibleComponent(FrozenRecord):
                 raise ValueError(
                     f"a component power must be an (index, exponent) pair, got {pair!r}"
                 ) from None
-            if (type(i) is not int or type(e) is not int) and (
+            if (
                 isinstance(i, bool)
                 or isinstance(e, bool)
                 or not isinstance(i, int)
@@ -76,14 +77,11 @@ class IrreducibleComponent(FrozenRecord):
                 raise ValueError("component indices and exponents must be ints")
             if e < 1:
                 raise ValueError("component exponents must be at least 1")
-            if i <= last or type(pair) is not tuple:
-                canonical = False
-            last = i
-        if not canonical:
-            powers = tuple(sorted((i, e) for i, e in powers))
-            for (i, _), (j, _) in zip(powers, powers[1:]):
-                if i == j:
-                    raise ValueError("component variables must be distinct")
+            pairs.append((i, e))
+        powers = tuple(sorted(pairs))
+        for (i, _), (j, _) in zip(powers, powers[1:]):
+            if i == j:
+                raise ValueError("component variables must be distinct")
         # sorted and distinct: the end indices bound all the others
         for i in (powers[0][0], powers[-1][0]) if powers else ():
             if not 0 <= i < context.dimension:

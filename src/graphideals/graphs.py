@@ -247,30 +247,25 @@ def validate_graph(data) -> WeightedGraph:
     return WeightedGraph(tuple(vertices), tuple(edges))
 
 
-def edge_ideal(graph: WeightedGraph) -> MonomialIdeal:
-    """The squarefree ideal with x_u * x_v for every edge."""
+def _edge_rows_ideal(graph: WeightedGraph, weighted: bool) -> MonomialIdeal:
     d = graph.vertex_count
     rows = []
-    for e in graph.edges:
+    for u, v, w in graph.edges:
         vec = [0] * d
-        vec[e.u] = 1
-        vec[e.v] = 1
+        vec[u] = vec[v] = w if weighted else 1
         rows.append(tuple(vec))
     # a simple graph's edges have distinct two-vertex supports
     return MonomialIdeal._of_antichain(graph.context, rows)
+
+
+def edge_ideal(graph: WeightedGraph) -> MonomialIdeal:
+    """The squarefree ideal with x_u * x_v for every edge."""
+    return _edge_rows_ideal(graph, False)
 
 
 def weighted_edge_ideal(graph: WeightedGraph) -> MonomialIdeal:
     """The ideal with (x_u * x_v)**w for every edge of weight w."""
-    d = graph.vertex_count
-    rows = []
-    for e in graph.edges:
-        vec = [0] * d
-        vec[e.u] = e.w
-        vec[e.v] = e.w
-        rows.append(tuple(vec))
-    # a simple graph's edges have distinct two-vertex supports
-    return MonomialIdeal._of_antichain(graph.context, rows)
+    return _edge_rows_ideal(graph, True)
 
 
 def _covers(graph: WeightedGraph, entries: Mapping[int, int]) -> bool:
@@ -338,7 +333,8 @@ def minimize_cover(
         cap = _max_feasible_weight(graph, entries, v)
         if cap is not None:
             entries[v] = cap
-    return IrreducibleComponent(graph.context, tuple(entries.items()))
+    # the cover's sorted pairs, some deleted, the rest set to edge weights
+    return IrreducibleComponent._of_powers(graph.context, tuple(entries.items()))
 
 
 def _level_graph(adjacency) -> tuple[list[int], list[list[int]], list[int]]:

@@ -3,9 +3,7 @@
 The small componentwise operations that dominate decomposition and
 enumeration time.  Vectors in one call must share a single dimension;
 ``minimalize`` rejects mixed dimensions, the pointwise helpers trust
-their callers' context checks.  Callers reach the kernels through this
-module's attributes (``kernels.minimalize(...)``), so the benchmark's
-tracer sees every call.
+their callers' context checks.
 
 Vectors stay dense tuples.  Each one also gets a support mask, bit i set
 when exponent i is positive: a divisor's support lies inside its

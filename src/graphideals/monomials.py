@@ -121,10 +121,10 @@ class MonomialIdeal(FrozenRecord):
     Any exponent rows may be passed in; construction validates each one,
     deduplicates, removes divisible rows and sorts graded-lexicographically.
     The zero ideal has no rows, the unit ideal exactly the zero row.
-    Rows the library builds as an antichain by construction (edge ideals,
-    component ideals, intersections, bracket powers) go through
-    :meth:`_of_antichain` instead, which skips the validation and the
-    sweep and only sorts.
+    A value is checked once, where it enters: this constructor runs only
+    on rows from outside the library.  Every ideal the library builds goes
+    through :meth:`_of_antichain`, which only sorts, after a
+    ``kernels.minimalize`` sweep where rows may divide one another.
     """
 
     _fields = ("context", "rows")
@@ -163,11 +163,11 @@ class MonomialIdeal(FrozenRecord):
 
     @classmethod
     def zero(cls, context: VariableContext) -> "MonomialIdeal":
-        return cls(context, ())
+        return cls._of_antichain(context, ())
 
     @classmethod
     def unit(cls, context: VariableContext) -> "MonomialIdeal":
-        return cls(context, ((0,) * context.dimension,))
+        return cls._of_antichain(context, ((0,) * context.dimension,))
 
     @property
     def generators(self) -> tuple[Monomial, ...]:
@@ -235,15 +235,16 @@ def ideal_eq(a: MonomialIdeal, b: MonomialIdeal) -> bool:
 
 
 def intersect(a: MonomialIdeal, b: MonomialIdeal) -> MonomialIdeal:
-    """Intersection, generated by pairwise lcms of the generators."""
+    """Intersection, generated by the minimalized pairwise lcms of the generators."""
     _same_context(a, b)
-    return MonomialIdeal(a.context, kernels.intersect_rows(a.rows, b.rows))
+    rows = kernels.intersect_rows(a.rows, b.rows)
+    return MonomialIdeal._of_antichain(a.context, rows)
 
 
 def m_radical(ideal: MonomialIdeal) -> MonomialIdeal:
     """Monomial radical: flatten every positive exponent to 1."""
     rows = [tuple(1 if e > 0 else 0 for e in r) for r in ideal.rows]
-    return MonomialIdeal(ideal.context, rows)
+    return MonomialIdeal._of_antichain(ideal.context, kernels.minimalize(rows))
 
 
 def bracket_power(ideal: MonomialIdeal, a: int) -> MonomialIdeal:
@@ -287,7 +288,8 @@ def polarize(
             for j in range(e):
                 vec[offset[i] + j] = 1
         polar_rows.append(tuple(vec))
-    return polar_context, MonomialIdeal(polar_context, polar_rows), origin
+    # an order embedding: the polar rows are an antichain too
+    return polar_context, MonomialIdeal._of_antichain(polar_context, polar_rows), origin
 
 
 def depolarize(
@@ -303,4 +305,4 @@ def depolarize(
             if e:
                 vec[origin[j]] += e
         rows.append(tuple(vec))
-    return MonomialIdeal(context, rows)
+    return MonomialIdeal._of_antichain(context, kernels.minimalize(rows))

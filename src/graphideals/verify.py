@@ -39,18 +39,18 @@ class CheckResult(Record):
         self.detail = detail
 
 
+_EDGE_PROBABILITY = 0.5
+
+
 def random_weighted_graph(
-    rng: random.Random,
-    max_vertices: int = 5,
-    max_weight: int = 3,
-    edge_probability: float = 0.5,
+    rng: random.Random, max_vertices: int = 5, max_weight: int = 3
 ) -> WeightedGraph:
     """A random simple graph with uniform random positive edge weights."""
     d = rng.randint(1, max_vertices)
     names = tuple(f"v{i + 1}" for i in range(d))
     edges = []
     for u, v in itertools.combinations(range(d), 2):
-        if rng.random() < edge_probability:
+        if rng.random() < _EDGE_PROBABILITY:
             edges.append(Edge(u, v, rng.randint(1, max_weight)))
     return WeightedGraph(names, tuple(edges))
 

@@ -83,6 +83,18 @@ def with_isolated_edges(graph, count, isolated_vertices):
     return WeightedGraph(names, edges)
 
 
+def sparse_random_graph(rng, max_vertices):
+    """A random graph drawn as ``random_weighted_graph`` draws one, with
+    edge probability 0.4 instead of 0.5."""
+    d = rng.randint(1, max_vertices)
+    names = tuple(f"v{i + 1}" for i in range(d))
+    edges = []
+    for u, v in itertools.combinations(range(d), 2):
+        if rng.random() < 0.4:
+            edges.append(Edge(u, v, rng.randint(1, 3)))
+    return WeightedGraph(names, tuple(edges))
+
+
 def shuffled(graph, rng):
     """The same graph with its vertex indices permuted."""
     order = list(range(graph.vertex_count))
@@ -219,7 +231,7 @@ class TestRecognizeSuspensions:
     def test_matches_oracle_with_isolated_edges(self):
         rng = random.Random(20261019)
         for trial in range(60):
-            base = random_weighted_graph(rng, max_vertices=4, edge_probability=0.5)
+            base = random_weighted_graph(rng, max_vertices=4)
             g = suspend(base, [1] * base.vertex_count)
             for isolated_vertices in (0, 1):
                 h = shuffled(
@@ -260,7 +272,7 @@ class TestSuspensionSplit:
     def test_random_suspensions(self):
         rng = random.Random(20261017)
         for trial in range(200):
-            base = random_weighted_graph(rng, max_vertices=5, edge_probability=0.4)
+            base = sparse_random_graph(rng, max_vertices=5)
             g = suspend(base, [rng.randint(1, 3) for _ in base.vertex_names])
             order = list(range(g.vertex_count))
             rng.shuffle(order)
@@ -332,6 +344,22 @@ class TestSuspensionVerdicts:
         g = WeightedGraph(("a", "b", "w"), ((0, 2, 1),))
         with pytest.raises(FamilyMismatchError):
             classify_suspension(g, SuspensionDecomposition((0, 1), ((0, 2),)))
+
+    @pytest.mark.parametrize(
+        "whiskers", [((0, 1, 0),), ((1, 0, 1),), ((0,),), ((1,),), (0,)]
+    )
+    @pytest.mark.parametrize("base", [(0,), (1,)])
+    def test_whisker_entry_not_a_pair_rejected(self, base, whiskers):
+        # (0, 1, 0) has the vertex set of the whisker edge v1-v2
+        dec = SuspensionDecomposition(base, whiskers)
+        with pytest.raises(FamilyMismatchError):
+            classify_suspension(path_graph([1]), dec)
+
+    def test_list_pair_read_as_pair(self):
+        # an isolated edge may be read either way, as a list or a tuple
+        for base, whisker in ((0, 1), (1, 0)):
+            dec = SuspensionDecomposition((base,), ([base, whisker],))
+            assert classify_suspension(path_graph([1]), dec).cohen_macaulay == CM_YES
 
     def test_accepts_exactly_the_oracle_splits(self):
         # every base subset and every multiset of up to 3 ordered pairs

@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -19,6 +20,7 @@ from graphideals.cli import (
     render,
     run,
 )
+from graphideals.decompose import IrreducibleComponent
 from graphideals.verify import exhaustive_weighted_graphs
 
 P2 = {
@@ -274,6 +276,21 @@ class TestMinimizeCommand:
     def test_duplicate_vertex(self, c5):
         code, out, err = invoke(["minimize", c5, "--cover", "v1:2,v1:3,v2:1"])
         assert (code, out, err) == (2, "", "error: cover vertices must be distinct\n")
+
+    def test_parsed_cover_matches_validating_constructor(self):
+        # after its own checks the parser builds with _of_powers
+        rng = random.Random(251)
+        for graph in exhaustive_weighted_graphs(4, weights=(1,)):
+            names = list(graph.vertex_names)
+            picked = rng.sample(names, rng.randint(1, len(names)))
+            entries = [(name, rng.choice((1, 2, 10**20))) for name in picked]
+            text = " , ".join(f"{name}:{w}" for name, w in entries)
+            got = cli._parse_cover_option(graph, text)
+            oracle = IrreducibleComponent(
+                graph.context, [(names.index(n), w) for n, w in entries]
+            )
+            assert got.powers == oracle.powers, text
+            assert got == oracle and hash(got) == hash(oracle)
 
 
 class TestUnmixedCommand:

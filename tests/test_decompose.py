@@ -44,7 +44,72 @@ def comp(ctx, powers):
     return IrreducibleComponent(ctx, tuple(sorted(powers.items())))
 
 
+# IrreducibleComponent(X5, powers): the sorted powers, or the ValueError
+# message.  Pair shapes, types and exponents are checked first, then
+# distinctness, then the range, whatever the order of the faulty pairs.
+H = 10**20
+NOT_SEQUENCE = "component powers must be a sequence of pairs, got "
+NOT_PAIR = "a component power must be an (index, exponent) pair, got "
+NOT_INTS = "component indices and exponents must be ints"
+EXPONENT = "component exponents must be at least 1"
+DISTINCT = "component variables must be distinct"
+COMPONENT_TABLE = [
+    ("non-sequence", 5, NOT_SEQUENCE + "5"),
+    ("none", None, NOT_SEQUENCE + "None"),
+    ("non-pair", [5], NOT_PAIR + "5"),
+    ("none pair", [(0, 1), None], NOT_PAIR + "None"),
+    ("one-tuple", [(0,)], NOT_PAIR + "(0,)"),
+    ("three-tuple", [(0, 1, 2)], NOT_PAIR + "(0, 1, 2)"),
+    ("string", "ab", NOT_PAIR + "'a'"),
+    ("string pair", ["12"], NOT_INTS),
+    ("dict", {0: 1}, NOT_PAIR + "0"),
+    ("bool index", [(True, 2)], NOT_INTS),
+    ("bool exponent", [(0, True)], NOT_INTS),
+    ("false exponent", [(1, 1), (2, False)], NOT_INTS),
+    ("float index", [(0.0, 1)], NOT_INTS),
+    ("float exponent", [(0, 2.0)], NOT_INTS),
+    ("str index", [("0", 1)], NOT_INTS),
+    ("str exponent", [(0, "1")], NOT_INTS),
+    ("exponent 0", [(0, 0)], EXPONENT),
+    ("exponent -1", [(1, 2), (0, -1)], EXPONENT),
+    ("index -1", [(-1, 2)], "variable index -1 out of range"),
+    ("index d", [(0, 1), (5, 1)], "variable index 5 out of range"),
+    ("index d unsorted", [(2, 1), (7, 1), (0, 1)], "variable index 7 out of range"),
+    ("duplicate sorted", [(0, 1), (0, 2)], DISTINCT),
+    ("duplicate unsorted", [(2, 1), (0, 1), (2, 3)], DISTINCT),
+    ("duplicate equal", [(1, 1), (1, 1)], DISTINCT),
+    ("list pairs", [[4, 1], [1, 3]], ((1, 3), (4, 1))),
+    ("unsorted", ((3, 1), (0, 2), (4, 7)), ((0, 2), (3, 1), (4, 7))),
+    ("sorted", ((0, 2), (3, 1)), ((0, 2), (3, 1))),
+    ("iterator", iter([(1, 2), (0, 1)]), ((0, 1), (1, 2))),
+    ("generator", ((i, i + 1) for i in (4, 2)), ((2, 3), (4, 5))),
+    ("huge exponents", [(4, H), (0, H + 1)], ((0, H + 1), (4, H))),
+    ("empty tuple", (), ()),
+    ("empty list", [], ()),
+    ("duplicate then out of range", [(5, 1), (0, 1), (0, 2)], DISTINCT),
+    ("out of range then exponent 0", [(9, 1), (0, 0)], EXPONENT),
+    ("duplicate out of range", [(-1, 1), (-1, 2)], DISTINCT),
+    ("out of range then float", [(9, 1), (0, 2.0)], NOT_INTS),
+    ("duplicate then bad pair", [(0, 1), (0, 2), (3,)], NOT_PAIR + "(3,)"),
+]
+
+
 class TestComponent:
+    @pytest.mark.parametrize(
+        "powers, expected",
+        [row[1:] for row in COMPONENT_TABLE],
+        ids=[row[0] for row in COMPONENT_TABLE],
+    )
+    def test_constructor_table(self, powers, expected):
+        if isinstance(expected, str):
+            with pytest.raises(ValueError) as excinfo:
+                IrreducibleComponent(X5, powers)
+            assert str(excinfo.value) == expected
+        else:
+            c = IrreducibleComponent(X5, powers)
+            assert c.powers == expected
+            assert all(type(pair) is tuple for pair in c.powers)
+
     def test_requires_positive_powers(self):
         with pytest.raises(ValueError):
             comp(X3, {0: 0})

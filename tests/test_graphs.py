@@ -300,6 +300,20 @@ class TestMinimize:
             deleted += len(got.powers) < len(c.powers)
         assert deleted > 1000, deleted
 
+    def test_trusted_output_matches_validating_constructor(self):
+        # minimize_cover builds through IrreducibleComponent._of_powers
+        rng = random.Random(4811)
+        graphs = list(exhaustive_weighted_graphs(4))
+        assert len(graphs) == 760
+        for g in graphs:
+            for c in (seeded_cover(g, rng), seeded_cover(g, rng)):
+                got = minimize_cover(g, c)
+                oracle = IrreducibleComponent(g.context, got.powers)
+                assert got.powers == oracle.powers, (g, c)
+                assert type(got.powers) is tuple
+                assert all(type(pair) is tuple for pair in got.powers)
+                assert got == oracle and hash(got) == hash(oracle)
+
     def test_removes_superfluous_vertex(self):
         got = minimize_cover(C5, cover({0: 2, 1: 5, 3: 3, 4: 2}))
         assert got == cover({0: 2, 1: 5, 3: 3})

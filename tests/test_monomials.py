@@ -1,5 +1,7 @@
 """Golden tests for exponent-vector monomials and monomial ideal arithmetic."""
 
+import random
+
 import pytest
 
 from graphideals.monomials import (
@@ -324,3 +326,100 @@ class TestPolarize:
         polar_ctx, polar, origin = polarize(I)
         assert all(e <= 1 for row in polar.rows for e in row)
         assert ideal_eq(depolarize(polar, origin, X3), I)
+
+
+def seeded_ideal(rng, d, huge):
+    """Random rows over d variables, some dividing others; with ``huge``
+    about half the positive exponents exceed 10**20."""
+    rows = []
+    for _ in range(rng.randint(1, 6)):
+        row = [rng.randint(0, 3) if rng.random() < 0.6 else 0 for _ in range(d)]
+        if huge:
+            row = [e + 10**20 if e and rng.random() < 0.5 else e for e in row]
+        rows.append(tuple(row))
+    return rows
+
+
+class TestTrustedSites:
+    """Every ideal the library builds goes through _of_antichain; the
+    validating constructor on rows built here from the definitions is
+    the oracle: the same rows, masks, equality and hash."""
+
+    def check(self, built, rows):
+        oracle = MonomialIdeal(built.context, rows)
+        assert built.rows == oracle.rows
+        assert built._masked_rows == oracle._masked_rows
+        assert built == oracle and hash(built) == hash(oracle)
+
+    def corpus(self):
+        rng = random.Random(2011)
+        out = []
+        for k in range(300):
+            X = VariableContext.of_dimension(rng.randint(1, 6))
+            rows = seeded_ideal(rng, X.dimension, huge=k % 3 == 0)
+            out.append(MonomialIdeal(X, rows))
+        for d in (1, 3):
+            X = VariableContext.of_dimension(d)
+            out += [MonomialIdeal.zero(X), MonomialIdeal.unit(X)]
+        return out
+
+    def test_zero_and_unit(self):
+        for d in range(1, 6):
+            X = VariableContext.of_dimension(d)
+            self.check(MonomialIdeal.zero(X), ())
+            self.check(MonomialIdeal.unit(X), ((0,) * d,))
+
+    def test_intersect(self):
+        ideals = self.corpus()
+        rng = random.Random(2012)
+        assert any(I.is_zero for I in ideals) and any(I.is_unit for I in ideals)
+        assert any(e > 10**20 for I in ideals for r in I.rows for e in r)
+        for I in ideals:
+            same = [J for J in ideals if J.context == I.context]
+            for J in rng.sample(same, min(4, len(same))) + [I]:
+                lcms = [tuple(map(max, f, g)) for f in I.rows for g in J.rows]
+                self.check(intersect(I, J), lcms)
+
+    def test_m_radical(self):
+        for I in self.corpus():
+            flat = [tuple(min(e, 1) for e in r) for r in I.rows]
+            self.check(m_radical(I), flat)
+
+    def test_polarize_and_depolarize(self):
+        # exponents of 10**20 would need as many fresh variables
+        ideals = [I for I in self.corpus() if max(map(max, I.rows), default=0) < 5]
+        assert len(ideals) > 150
+        for I in ideals:
+            polar_ctx, polar, origin = polarize(I)
+            if polar is not I:
+                # x_i^e becomes the first e of max_r r[i] copies of x_i
+                d = I.context.dimension
+                copies = [max(r[i] for r in I.rows) for i in range(d)]
+                rows = [
+                    tuple(int(j < r[i]) for i in range(d) for j in range(copies[i]))
+                    for r in I.rows
+                ]
+                self.check(polar, rows)
+            self.check(depolarize(polar, origin, I.context), I.rows)
+
+    def test_depolarize_collapsing_origins(self):
+        # an origin map that merges variables can make rows divide others
+        rng = random.Random(2013)
+        swept = 0
+        for k in range(300):
+            polar_ctx = VariableContext.of_dimension(rng.randint(1, 6))
+            polar = MonomialIdeal(
+                polar_ctx, seeded_ideal(rng, polar_ctx.dimension, huge=k % 3 == 0)
+            )
+            X = VariableContext.of_dimension(rng.randint(1, 3))
+            origin = {j: rng.randrange(X.dimension) for j in range(len(polar_ctx.names))}
+            rows = []
+            for r in polar.rows:
+                vec = [0] * X.dimension
+                for j, e in enumerate(r):
+                    vec[origin[j]] += e
+                rows.append(tuple(vec))
+            built = depolarize(polar, origin, X)
+            self.check(built, rows)
+            swept += len(built.rows) < len(rows)
+        assert swept > 50, swept
