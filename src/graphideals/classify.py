@@ -297,6 +297,12 @@ def _suspension_verdict(
     return Verdict(family, False, CM_NO, certificate, fails_text)
 
 
+_SUSPENSION_TEXTS = (
+    "every base edge weighs no more than both incident whisker edges",
+    "some base edge outweighs an incident whisker edge",
+)
+
+
 def classify_suspension(graph: WeightedGraph, dec: SuspensionDecomposition) -> Verdict:
     """Verdict for a graph presented with a suspension decomposition.
 
@@ -307,13 +313,7 @@ def classify_suspension(graph: WeightedGraph, dec: SuspensionDecomposition) -> V
     edges at both endpoints.
     """
     _validate_suspension(graph, dec)
-    return _suspension_verdict(
-        graph,
-        dec,
-        "suspension",
-        "every base edge weighs no more than both incident whisker edges",
-        "some base edge outweighs an incident whisker edge",
-    )
+    return _suspension_verdict(graph, dec, "suspension", *_SUSPENSION_TEXTS)
 
 
 def _is_tree(graph: WeightedGraph) -> bool:
@@ -446,7 +446,8 @@ def _classify_suspension_graph(graph: WeightedGraph) -> Verdict:
     dec = suspension_split(graph)
     if dec is None:
         raise FamilyMismatchError("no suspension structure")
-    return classify_suspension(graph, dec)
+    # suspension_split's own split needs no validation
+    return _suspension_verdict(graph, dec, "suspension", *_SUSPENSION_TEXTS)
 
 
 FAMILIES = {

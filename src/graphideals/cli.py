@@ -14,6 +14,11 @@ Commands operate on a graph document (JSON file or ``-`` for stdin):
 
 Exit codes: 0 success, 1 usage or parse error, 2 validation error,
 3 cross-check failure.
+
+The parser from :func:`build_parser` is the one place that defaults and
+checks an option.  In-process, ``main(argv)`` returns the exit code and
+``run(build_parser().parse_args(argv))`` returns the :class:`Report`;
+every failure inside a command is a :class:`CommandError`.
 """
 
 from __future__ import annotations
@@ -50,19 +55,6 @@ from .verify import random_weighted_graph, run_suite
 EXIT_CODES = {"ok": 0, "parse": 1, "validation": 2, "oracle": 3}
 
 
-class CommandRequest(Record):
-    """One command to run; ``options`` defaults to a new empty dict."""
-
-    _fields = ("command", "input_path", "options")
-
-    def __init__(
-        self, command: str, input_path: str | None, options: dict | None = None
-    ):
-        self.command = command
-        self.input_path = input_path
-        self.options = {} if options is None else options
-
-
 class Report(Record):
     _fields = ("status", "payload", "diagnostics")
 
@@ -78,9 +70,14 @@ class Report(Record):
 
 
 class CommandError(Exception):
-    def __init__(self, kind: str, message: str):
-        super().__init__(message)
+    """A failed command: its exit-code kind, one diagnostic per fault and,
+    when the command got far enough to report on itself, its payload."""
+
+    def __init__(self, kind: str, *messages: str, payload: dict | None = None):
+        super().__init__(*messages)
         self.kind = kind
+        self.messages = list(messages)
+        self.payload = payload
 
 
 class _UsageError(Exception):
@@ -115,11 +112,8 @@ def _load_graph(path: str):
         raise CommandError("validation", f"invalid graph: {exc}") from exc
 
 
-def _generators_payload(command: str, ideal) -> dict:
-    return {
-        "command": command,
-        "generators": [str(g) for g in ideal.generators],
-    }
+def _generators_payload(ideal) -> dict:
+    return {"generators": [str(g) for g in ideal.generators]}
 
 
 def _component_pairs(graph, component):
@@ -131,30 +125,27 @@ def _cover_pairs(graph, cover):
     return [[graph.vertex_names[v], w] for v, w in cover.powers]
 
 
-def _cmd_ideal(graph, options) -> dict:
-    return _generators_payload("ideal", weighted_edge_ideal(graph))
+def _cmd_ideal(graph, args) -> dict:
+    return _generators_payload(weighted_edge_ideal(graph))
 
 
-def _cmd_radical(graph, options) -> dict:
-    return _generators_payload("radical", m_radical(weighted_edge_ideal(graph)))
+def _cmd_radical(graph, args) -> dict:
+    return _generators_payload(m_radical(weighted_edge_ideal(graph)))
 
 
-def _cmd_decompose(graph, options) -> dict:
-    method = options.get("method", "covers")
-    cap = options.get("max_components", DEFAULT_COMPONENT_CAP)
+def _cmd_decompose(graph, args) -> dict:
     by_covers = by_split = None
-    if method == "covers" or options.get("check"):
-        by_covers = cover_decomposition(graph, cap)
-    if method == "split" or options.get("check"):
-        by_split = split_decompose(weighted_edge_ideal(graph), cap)
-    picked = by_covers if method == "covers" else by_split
+    if args.method == "covers" or args.check:
+        by_covers = cover_decomposition(graph, args.max_components)
+    if args.method == "split" or args.check:
+        by_split = split_decompose(weighted_edge_ideal(graph), args.max_components)
+    picked = by_covers if args.method == "covers" else by_split
     payload = {
-        "command": "decompose",
-        "method": method,
+        "method": args.method,
         "components": [_component_pairs(graph, c) for c in picked.components],
         "irredundant": True,
     }
-    if options.get("check"):
+    if args.check:
         if by_covers.components != by_split.components:
             mine = set(by_covers.components)
             theirs = set(by_split.components)
@@ -167,10 +158,9 @@ def _cmd_decompose(graph, options) -> dict:
     return payload
 
 
-def _cmd_covers(graph, options) -> dict:
+def _cmd_covers(graph, args) -> dict:
     covers = enumerate_minimal_covers(graph)
     return {
-        "command": "covers",
         "covers": [_cover_pairs(graph, c) for c in covers],
         "count": len(covers),
     }
@@ -207,24 +197,22 @@ def _parse_cover_option(graph, text: str) -> IrreducibleComponent:
     return IrreducibleComponent._of_powers(graph.context, tuple(sorted(entries)))
 
 
-def _cmd_minimize(graph, options) -> dict:
-    cover = _parse_cover_option(graph, options.get("cover") or "")
+def _cmd_minimize(graph, args) -> dict:
+    cover = _parse_cover_option(graph, args.cover)
     if not is_weighted_cover(graph, cover):
         raise CommandError(
             "validation", "the given assignment is not a weighted vertex cover"
         )
     result = minimize_cover(graph, cover)
     return {
-        "command": "minimize",
         "input": _cover_pairs(graph, cover),
         "cover": _cover_pairs(graph, result),
     }
 
 
-def _cmd_unmixed(graph, options) -> dict:
+def _cmd_unmixed(graph, args) -> dict:
     result = is_unmixed(graph)
     payload = {
-        "command": "unmixed",
         "unmixed": result.unmixed,
         "cardinality": result.cardinality,
         "witnesses": None,
@@ -234,16 +222,13 @@ def _cmd_unmixed(graph, options) -> dict:
     return payload
 
 
-def _cmd_classify(graph, options) -> dict:
-    family = options.get("family", "auto")
-    if family != "auto" and family not in FAMILIES:
-        raise CommandError("parse", f"unknown family {family!r}")
+def _cmd_classify(graph, args) -> dict:
+    classify = classify_auto if args.family == "auto" else FAMILIES[args.family]
     try:
-        verdict = classify_auto(graph) if family == "auto" else FAMILIES[family](graph)
+        verdict = classify(graph)
     except FamilyMismatchError as exc:
         raise CommandError("validation", f"unsupported family: {exc}") from exc
     return {
-        "command": "classify",
         "family": verdict.family,
         "unmixed": verdict.unmixed,
         "cohen_macaulay": verdict.cohen_macaulay,
@@ -252,37 +237,25 @@ def _cmd_classify(graph, options) -> dict:
     }
 
 
-def _cmd_primes(graph, options) -> dict:
-    kind = "associated" if options.get("assoc") else "minimal"
-    supports = associated_primes(graph) if kind == "associated" else minimal_primes(graph)
+def _cmd_primes(graph, args) -> dict:
+    kind = "associated" if args.assoc else "minimal"
+    supports = associated_primes(graph) if args.assoc else minimal_primes(graph)
     return {
-        "command": "primes",
         "kind": kind,
         "primes": [[graph.vertex_names[v] for v in s] for s in supports],
     }
 
 
-def _cmd_verify(graph, options) -> dict:
-    graphs = []
-    if graph is not None:
-        graphs.append(graph)
-    count = options.get("random") or 0
-    if count:
-        rng = random.Random(options.get("seed", 0))
-        for _ in range(count):
-            graphs.append(
-                random_weighted_graph(
-                    rng,
-                    max_vertices=options.get("max_vertices", 5),
-                    max_weight=options.get("max_weight", 3),
-                )
-            )
+def _cmd_verify(graph, args) -> dict:
+    graphs = [] if graph is None else [graph]
+    rng = random.Random(args.seed)
+    for _ in range(args.random):
+        graphs.append(random_weighted_graph(rng, args.max_vertices, args.max_weight))
     if not graphs:
         raise CommandError("parse", "verify needs a graph file or --random N")
-    results, count = run_suite(graphs, options.get("seed", 0))
+    results, count = run_suite(graphs, args.seed)
     results.sort(key=lambda r: r.name)
     payload = {
-        "command": "verify",
         "graphs": count,
         "checks": [
             {
@@ -296,16 +269,9 @@ def _cmd_verify(graph, options) -> dict:
         "passed": all(r.passed for r in results),
     }
     if not payload["passed"]:
-        failed = [r for r in results if not r.passed]
-        raise _VerifyFailure(payload, [f"{r.name}: {r.detail}" for r in failed])
+        failed = [f"{r.name}: {r.detail}" for r in results if not r.passed]
+        raise CommandError("oracle", *failed, payload=payload)
     return payload
-
-
-class _VerifyFailure(Exception):
-    def __init__(self, payload, messages):
-        super().__init__("verification failed")
-        self.payload = payload
-        self.messages = messages
 
 
 _HANDLERS = {
@@ -321,40 +287,32 @@ _HANDLERS = {
 }
 
 
-def run(request: CommandRequest) -> Report:
-    """Execute a request; never raises for expected failure modes."""
-    handler = _HANDLERS.get(request.command)
-    if handler is None:
-        return Report(
-            "error",
-            {"error_kind": "parse", "command": request.command},
-            [f"unknown command {request.command!r}"],
-        )
+def run(args: argparse.Namespace) -> Report:
+    """Execute a command line parsed by :func:`build_parser`.
+
+    Never raises for expected failure modes: those come back as an error
+    report.
+    """
     try:
-        if request.input_path:
-            graph = _load_graph(request.input_path)
-        elif request.command == "verify":
+        if args.input:
+            graph = _load_graph(args.input)
+        elif args.command == "verify":
             graph = None
         else:
-            raise CommandError("parse", f"{request.command} needs a graph file")
-        payload = handler(graph, request.options)
-    except _VerifyFailure as exc:
-        payload = dict(exc.payload)
-        payload["error_kind"] = "oracle"
-        return Report("error", payload, exc.messages)
-    except (CommandError, DecompositionLimitError, ValueError) as exc:
-        kind = exc.kind if isinstance(exc, CommandError) else "validation"
-        return Report(
-            "error",
-            {"error_kind": kind, "command": request.command},
-            [str(exc)],
-        )
-    return Report("ok", payload, [])
+            raise CommandError("parse", f"{args.command} needs a graph file")
+        payload = _HANDLERS[args.command](graph, args)
+        status, diagnostics = "ok", []
+    except CommandError as exc:
+        payload = dict(exc.payload or {}, error_kind=exc.kind)
+        status, diagnostics = "error", exc.messages
+    except (DecompositionLimitError, ValueError) as exc:
+        payload = {"error_kind": "validation"}
+        status, diagnostics = "error", [str(exc)]
+    payload["command"] = args.command
+    return Report(status, payload, diagnostics)
 
 
 def _format_monomial_pairs(pairs) -> str:
-    if not pairs:
-        return "(0)"
     parts = [name if e == 1 else f"{name}^{e}" for name, e in pairs]
     return "(" + ", ".join(parts) + ")"
 
@@ -378,8 +336,6 @@ def _text_lines(payload: dict) -> list[str]:
         lines = []
         for pairs in payload["components"]:
             lines.append("0 (zero ideal)" if not pairs else _format_monomial_pairs(pairs))
-        if not lines:
-            lines.append("0 (zero ideal)")
         if payload.get("check"):
             lines.append("check: methods agree")
         return lines
@@ -471,6 +427,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--max-components",
         type=_at_least_one,
+        default=DEFAULT_COMPONENT_CAP,
         metavar="N",
         help="abort either method past N components",
     )
@@ -501,15 +458,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _request_from_args(args) -> CommandRequest:
-    options = {
-        key: value
-        for key, value in vars(args).items()
-        if key not in ("command", "input", "fmt") and value is not None
-    }
-    return CommandRequest(args.command, getattr(args, "input", None), options)
-
-
 def _requested_format(argv) -> str:
     """The --format a command line asks for, read without the full parser.
 
@@ -535,8 +483,7 @@ def main(argv=None) -> int:
         return 1
     except SystemExit as exc:  # --help / --version
         return int(exc.code or 0)
-    request = _request_from_args(args)
-    report = run(request)
+    report = run(args)
     rendered = render(report, args.fmt)
     if report.status == "ok":
         print(rendered)

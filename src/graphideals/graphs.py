@@ -542,42 +542,38 @@ def associated_primes(graph: WeightedGraph) -> list[tuple[int, ...]]:
     return sorted({c.support for c in enumerate_minimal_covers(graph)})
 
 
-def path_graph(weights: Iterable[int], names=None) -> WeightedGraph:
+def path_graph(weights: Iterable[int]) -> WeightedGraph:
     """Path v1 - v2 - ... with the given edge weights in order."""
     ws = list(weights)
-    d = len(ws) + 1
-    if names is None:
-        names = tuple(f"v{i + 1}" for i in range(d))
+    names = tuple(f"v{i + 1}" for i in range(len(ws) + 1))
     edges = tuple(Edge(i, i + 1, w) for i, w in enumerate(ws))
-    return WeightedGraph(tuple(names), edges)
+    return WeightedGraph(names, edges)
 
 
-def cycle_graph(weights: Iterable[int], names=None) -> WeightedGraph:
+def cycle_graph(weights: Iterable[int]) -> WeightedGraph:
     """Cycle on n = len(weights) vertices; weight i sits on edge v_i v_{i+1}."""
     ws = list(weights)
     n = len(ws)
     if n < 3:
         raise ValueError("a cycle needs at least 3 edges")
-    if names is None:
-        names = tuple(f"v{i + 1}" for i in range(n))
+    names = tuple(f"v{i + 1}" for i in range(n))
     edges = [Edge(i, (i + 1) % n, w) for i, w in enumerate(ws)]
-    return WeightedGraph(tuple(names), tuple(edges))
+    return WeightedGraph(names, tuple(edges))
 
 
-def complete_graph(n: int, weights=1, names=None) -> WeightedGraph:
+def complete_graph(n: int, weights=1) -> WeightedGraph:
     """Complete graph on n vertices.
 
     ``weights`` is a single integer or a sequence following
     itertools.combinations order.
     """
-    if names is None:
-        names = tuple(f"v{i + 1}" for i in range(n))
+    names = tuple(f"v{i + 1}" for i in range(n))
     pair_list = list(itertools.combinations(range(n), 2))
     ws = [weights] * len(pair_list) if isinstance(weights, int) else list(weights)
     if len(ws) != len(pair_list):
         raise ValueError("weight sequence length must match the edge count")
     edges = tuple(Edge(u, v, w) for (u, v), w in zip(pair_list, ws))
-    return WeightedGraph(tuple(names), edges)
+    return WeightedGraph(names, edges)
 
 
 def suspend(base: WeightedGraph, whisker_weights: Iterable[int]) -> WeightedGraph:

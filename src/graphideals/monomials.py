@@ -16,7 +16,7 @@ generated by the monomial 1 (the zero row).
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Mapping
+from collections.abc import Mapping
 
 from . import kernels
 from ._records import FrozenRecord
@@ -77,12 +77,6 @@ class VariableContext(FrozenRecord):
     @property
     def dimension(self) -> int:
         return len(self.names)
-
-    def monomial(self, exponents: Iterable[int]) -> "Monomial":
-        return Monomial(self, tuple(exponents))
-
-    def one(self) -> "Monomial":
-        return Monomial(self, (0,) * self.dimension)
 
 
 class Monomial(FrozenRecord):
@@ -297,12 +291,22 @@ def depolarize(
     origin: Mapping[int, int],
     context: VariableContext,
 ) -> MonomialIdeal:
-    """Undo :func:`polarize` by collapsing the fresh variables again."""
+    """Undo :func:`polarize` by collapsing the fresh variables again.
+
+    ``origin`` must send every polar variable that a generator raises to
+    a variable index of ``context``; anything else raises ValueError.
+    """
+    dim = context.dimension
+    for i in origin.values():
+        if isinstance(i, bool) or not isinstance(i, int) or not 0 <= i < dim:
+            raise ValueError(f"origin targets must be indices below {dim}, got {i!r}")
     rows = []
     for r in polar_ideal.rows:
-        vec = [0] * context.dimension
+        vec = [0] * dim
         for j, e in enumerate(r):
             if e:
+                if j not in origin:
+                    raise ValueError(f"origin has no target for polar variable {j}")
                 vec[origin[j]] += e
         rows.append(tuple(vec))
     return MonomialIdeal._of_antichain(context, kernels.minimalize(rows))

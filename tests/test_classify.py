@@ -556,6 +556,12 @@ class TestAuto:
         assert classify_auto(path_graph([1, 2, 3])).family == "path"
         assert len(calls) == 1
 
+    def test_suspension_split_once(self, monkeypatch):
+        calls = self.count_calls(monkeypatch, "suspension_split")
+        v = classify_auto(suspend(complete_graph(3), [2, 2, 2]))
+        assert (v.family, v.unmixed) == ("suspension", True)
+        assert len(calls) == 1
+
     def test_tree_recognized_once(self, monkeypatch):
         calls = self.count_calls(monkeypatch, "_is_tree")
         # a star with five leaves: neither a path nor a suspension

@@ -14,8 +14,8 @@ import pytest
 from graphideals import cli
 from graphideals.classify import FAMILIES
 from graphideals.cli import (
-    CommandRequest,
     Report,
+    build_parser,
     main,
     render,
     run,
@@ -371,7 +371,8 @@ class TestClassifyCommand:
             path.write_text(json.dumps(g.to_json_dict()))
 
             def classify(family):
-                return run(CommandRequest("classify", str(path), {"family": family}))
+                argv = ["classify", str(path), "--family", family]
+                return run(build_parser().parse_args(argv))
 
             auto = classify("auto")
             assert auto.status == "ok"
@@ -447,7 +448,8 @@ class TestVerifyCommand:
         assert code == 0
         assert "result: pass" in out
 
-    def test_failure_exits_3(self, c5, monkeypatch):
+    @staticmethod
+    def break_split_route(monkeypatch):
         from graphideals.decompose import Decomposition
         from graphideals import verify as verify_mod
 
@@ -455,12 +457,42 @@ class TestVerifyCommand:
             return Decomposition(ideal.context, ())
 
         monkeypatch.setattr(verify_mod, "split_decompose", broken)
+
+    def test_failure_exits_3(self, c5, monkeypatch):
+        self.break_split_route(monkeypatch)
         code, _, err = invoke(["verify", c5])
         assert code == 3
         assert "decomposition-routes-agree" in err
 
+    def test_failure_json_report(self, c5, monkeypatch):
+        _, passing, _ = invoke(["verify", c5, "--format", "json"])
+        names = [c["name"] for c in json.loads(passing)["payload"]["checks"]]
+        self.break_split_route(monkeypatch)
+        code, out, err = invoke(["verify", c5, "--format", "json"])
+        assert (code, out) == (3, "")
+        doc = json.loads(err)
+        assert doc["status"] == "error"
+        payload = doc["payload"]
+        assert sorted(payload) == ["checks", "command", "error_kind", "graphs", "passed"]
+        assert (payload["command"], payload["error_kind"]) == ("verify", "oracle")
+        assert (payload["graphs"], payload["passed"]) == (1, False)
+        assert [c["name"] for c in payload["checks"]] == names
+        failed = [c for c in payload["checks"] if not c["passed"]]
+        assert any(c["name"] == "decomposition-routes-agree" for c in failed)
+        assert doc["diagnostics"] == [f"{c['name']}: {c['detail']}" for c in failed]
+
 
 class TestErrorDiscipline:
+    @pytest.mark.parametrize("command", sorted(cli._HANDLERS))
+    def test_empty_path_is_parse_error(self, command):
+        argv = [command, ""] + (["--cover", "v1:1"] if command == "minimize" else [])
+        code, out, err = invoke(argv)
+        assert (code, out) == (1, "")
+        if command == "verify":
+            assert err == "error: verify needs a graph file or --random N\n"
+        else:
+            assert err == f"error: {command} needs a graph file\n"
+
     def test_missing_file_is_parse_error(self):
         code, _, err = invoke(["ideal", "/nonexistent/g.json"])
         assert code == 1
@@ -614,12 +646,16 @@ class TestRenderRoundTrip:
 
 class TestRunApi:
     def test_run_returns_report(self, p2):
-        report = run(CommandRequest("ideal", p2, {}))
+        report = run(build_parser().parse_args(["ideal", p2]))
         assert isinstance(report, Report)
         assert report.status == "ok"
-        assert report.payload["generators"] == ["X1^2*X2^2", "X2^5*X3^5"]
+        assert report.payload == {
+            "command": "ideal",
+            "generators": ["X1^2*X2^2", "X2^5*X3^5"],
+        }
 
     def test_error_report_carries_diagnostic(self):
-        report = run(CommandRequest("ideal", "/nonexistent.json", {}))
+        report = run(build_parser().parse_args(["ideal", "/nonexistent.json"]))
         assert report.status == "error"
+        assert report.payload == {"command": "ideal", "error_kind": "parse"}
         assert report.diagnostics

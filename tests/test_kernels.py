@@ -15,7 +15,13 @@ from graphideals.decompose import (
     _split_prune,
     split_decompose,
 )
-from graphideals.monomials import MonomialIdeal, VariableContext, ideal_leq, member
+from graphideals.monomials import (
+    Monomial,
+    MonomialIdeal,
+    VariableContext,
+    ideal_leq,
+    member,
+)
 
 X3 = VariableContext.of_dimension(3)
 
@@ -219,7 +225,7 @@ class TestSupportMaskedLayer:
                 i = rng.randrange(dim)
                 probes.append(r[:i] + (max(0, r[i] - 1),) + r[i + 1 :])
             for p in probes:
-                m = ctx.monomial(p)
+                m = Monomial(ctx, p)
                 for x in ideals:
                     assert member(x, m) == dense_any_divides(x.rows, p)
 

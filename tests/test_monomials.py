@@ -79,28 +79,28 @@ class TestMonomial:
             Monomial(X2, (True, 0))
 
     def test_one(self):
-        assert X3.one().is_one
-        assert X3.one().degree == 0
+        assert Monomial(X3, (0, 0, 0)).is_one
+        assert Monomial(X3, (0, 0, 0)).degree == 0
 
     def test_str(self):
-        assert str(X3.monomial((2, 5, 0))) == "X1^2*X2^5"
-        assert str(X3.monomial((1, 0, 1))) == "X1*X3"
-        assert str(X3.one()) == "1"
+        assert str(Monomial(X3, (2, 5, 0))) == "X1^2*X2^5"
+        assert str(Monomial(X3, (1, 0, 1))) == "X1*X3"
+        assert str(Monomial(X3, (0, 0, 0))) == "1"
 
 
 class TestDivides:
     def test_divides_basic(self):
-        assert divides(X2.monomial((1, 1)), X2.monomial((2, 3)))
+        assert divides(Monomial(X2, (1, 1)), Monomial(X2, (2, 3)))
 
     def test_power_does_not_divide_smaller(self):
-        assert not divides(X2.monomial((2, 0)), X2.monomial((1, 0)))
+        assert not divides(Monomial(X2, (2, 0)), Monomial(X2, (1, 0)))
 
     def test_one_divides_everything(self):
-        assert divides(X2.one(), X2.monomial((7, 3)))
+        assert divides(Monomial(X2, (0, 0)), Monomial(X2, (7, 3)))
 
     def test_context_mismatch(self):
         with pytest.raises(ContextMismatchError):
-            divides(X2.monomial((1, 0)), X3.monomial((1, 0, 0)))
+            divides(Monomial(X2, (1, 0)), Monomial(X3, (1, 0, 0)))
 
 
 class TestLcm:
@@ -140,14 +140,14 @@ class TestIdealRows:
     def test_generators_derived_from_rows(self):
         I = ideal(X2, (0, 5), (2, 0), (3, 1))
         assert I.rows == ((2, 0), (0, 5))
-        assert I.generators == (X2.monomial((2, 0)), X2.monomial((0, 5)))
+        assert I.generators == (Monomial(X2, (2, 0)), Monomial(X2, (0, 5)))
 
     def test_unit_is_the_zero_row(self):
         assert MonomialIdeal.unit(X3).rows == ((0, 0, 0),)
 
     @pytest.mark.parametrize(
         "row",
-        [(1, 2), (1, -1, 0), (True, 0, 0), (1.0, 0, 0), "abc", 7, X3.one()],
+        [(1, 2), (1, -1, 0), (True, 0, 0), (1.0, 0, 0), "abc", 7, Monomial(X3, (0, 0, 0))],
         ids=["short", "negative", "bool", "float", "string", "int", "monomial"],
     )
     def test_rejects_non_rows(self, row):
@@ -180,19 +180,19 @@ class TestMinimalGenerators:
 class TestMember:
     def test_member_of_principal(self):
         I = ideal(X2, (2, 2))
-        assert member(I, X2.monomial((3, 2)))
+        assert member(I, Monomial(X2, (3, 2)))
 
     def test_zero_ideal_has_no_members(self):
-        assert not member(MonomialIdeal.zero(X2), X2.monomial((1, 1)))
-        assert not member(MonomialIdeal.zero(X2), X2.one())
+        assert not member(MonomialIdeal.zero(X2), Monomial(X2, (1, 1)))
+        assert not member(MonomialIdeal.zero(X2), Monomial(X2, (0, 0)))
 
     def test_nonmember(self):
         # X1*X2^4 escapes both generators of (X1^2, X2^5)
         I = ideal(X2, (2, 0), (0, 5))
-        assert not member(I, X2.monomial((1, 4)))
+        assert not member(I, Monomial(X2, (1, 4)))
 
     def test_unit_contains_one(self):
-        assert member(MonomialIdeal.unit(X2), X2.one())
+        assert member(MonomialIdeal.unit(X2), Monomial(X2, (0, 0)))
 
 
 class TestContainment:
@@ -326,6 +326,26 @@ class TestPolarize:
         polar_ctx, polar, origin = polarize(I)
         assert all(e <= 1 for row in polar.rows for e in row)
         assert ideal_eq(depolarize(polar, origin, X3), I)
+
+    @pytest.mark.parametrize(
+        "origin, message",
+        [
+            ({0: -1}, "origin targets must be indices below 2, got -1"),
+            ({0: 5}, "origin targets must be indices below 2, got 5"),
+            ({0: True}, "origin targets must be indices below 2, got True"),
+            ({}, "origin has no target for polar variable 0"),
+        ],
+        ids=["negative", "too-large", "bool", "missing"],
+    )
+    def test_depolarize_rejects_bad_origin(self, origin, message):
+        polar = MonomialIdeal(VariableContext.of_dimension(1), [(3,)])
+        with pytest.raises(ValueError, match=message):
+            depolarize(polar, origin, X2)
+
+    def test_zero_and_unit_depolarize_with_empty_origin(self):
+        for I in (MonomialIdeal.zero(X2), MonomialIdeal.unit(X2)):
+            _, polar, origin = polarize(I)
+            assert depolarize(polar, origin, X2) == I
 
 
 def seeded_ideal(rng, d, huge):

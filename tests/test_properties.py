@@ -25,6 +25,7 @@ from graphideals.graphs import (
     weighted_edge_ideal,
 )
 from graphideals.monomials import (
+    Monomial,
     MonomialIdeal,
     VariableContext,
     bracket_power,
@@ -64,7 +65,7 @@ def ideal_pair(draw, **kw):
 def ideal_and_monomial(draw, max_exp=6):
     ctx, rows, single = draw(context_and_rows(max_exp=max_exp, lists=2))
     assume(single)
-    return ctx, MonomialIdeal(ctx, rows), ctx.monomial(single[0])
+    return ctx, MonomialIdeal(ctx, rows), Monomial(ctx, single[0])
 
 
 @st.composite
@@ -74,7 +75,7 @@ def ideal_and_member(draw, max_exp=4):
     assume(rows and extra)
     g = draw(st.sampled_from(rows))
     m = tuple(a + b for a, b in zip(g, extra[0]))
-    return ctx, MonomialIdeal(ctx, rows), ctx.monomial(m)
+    return ctx, MonomialIdeal(ctx, rows), Monomial(ctx, m)
 
 
 @st.composite
@@ -139,7 +140,7 @@ class TestMembership:
     def test_bracket_power_membership(self, drawn):
         ctx, I, m = drawn
         assert member(I, m)
-        cubed = ctx.monomial(tuple(e * 3 for e in m.exponents))
+        cubed = Monomial(ctx, tuple(e * 3 for e in m.exponents))
         assert member(bracket_power(I, 3), cubed)
 
 

@@ -19,7 +19,7 @@ import pytest
 
 from graphideals._records import FrozenRecord, Record
 from graphideals.classify import SuspensionDecomposition, Verdict
-from graphideals.cli import CommandRequest, Report
+from graphideals.cli import Report
 from graphideals.decompose import Decomposition, IrreducibleComponent
 from graphideals.graphs import Edge, UnmixednessResult, WeightedGraph
 from graphideals.monomials import Monomial, MonomialIdeal, VariableContext
@@ -134,18 +134,6 @@ SPECS = [
         False,
     ),
     (
-        CommandRequest,
-        ("command", "input_path", "options"),
-        ("ideal", "g.json", {"check": True}),
-        [
-            ("radical", "g.json", {"check": True}),
-            ("ideal", None, {"check": True}),
-            ("ideal", "g.json", {}),
-        ],
-        "CommandRequest(command='ideal', input_path='g.json', options={'check': True})",
-        False,
-    ),
-    (
         Report,
         ("status", "payload", "diagnostics"),
         ("ok", {"a": [1]}, ["d"]),
@@ -234,8 +222,6 @@ def test_defaults():
     v, w = Verdict("cycle", True, "no"), Verdict("cycle", True, "no")
     assert v.certificate == {} and v.rationale == ""
     assert v.certificate is not w.certificate
-    r, s = CommandRequest("ideal", None), CommandRequest("ideal", None)
-    assert r.options == {} and r.options is not s.options
     assert CheckResult("c", True, 1).detail == ""
 
 
