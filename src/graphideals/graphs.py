@@ -44,7 +44,7 @@ from .decompose import (
     IrreducibleComponent,
     _powers_leq,
 )
-from .monomials import MonomialIdeal, VariableContext
+from .monomials import MonomialIdeal, VariableContext, _same_context
 
 
 class GraphValidationError(ValueError):
@@ -294,7 +294,12 @@ def cover_leq(smaller: IrreducibleComponent, larger: IrreducibleComponent) -> bo
 
     (V'', d'') <= (V', d') means V'' is a subset of V' and d'(v) <= d''(v)
     for every v in V''.  Mirrors containment of the associated ideals.
+    Raises ContextMismatchError when the covers are over different
+    contexts.
     """
+    # identity first: verify compares every pair of a pool on one context
+    if smaller.context is not larger.context:
+        _same_context(smaller, larger)
     return _powers_leq(smaller.powers, larger.powers)
 
 
@@ -503,8 +508,19 @@ def is_unmixed(graph: WeightedGraph) -> UnmixednessResult:
 
     Edgeless graphs are unmixed (the empty cover is the only one).  On a
     mixed graph the result carries two covers of different cardinalities.
+    The verdict is :func:`_unmixedness` on the covers that
+    :func:`enumerate_minimal_covers` lists.
     """
-    covers = enumerate_minimal_covers(graph)
+    return _unmixedness(enumerate_minimal_covers(graph))
+
+
+def _unmixedness(covers) -> UnmixednessResult:
+    """The unmixedness verdict on a graph's minimal weighted covers.
+
+    ``covers`` is the full canonical list, as :func:`enumerate_minimal_covers`
+    returns it; a mixed verdict's witnesses are the first cover of the
+    smallest and the first of the largest cardinality.
+    """
     cards = sorted({c.m_height for c in covers})
     if len(cards) == 1:
         return UnmixednessResult(True, cards[0], None)

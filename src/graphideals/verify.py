@@ -5,6 +5,11 @@ minimal-cover enumeration against generator splitting, cover order against
 ideal containment, the cover predicate against ideal membership, and the
 various radical, power and minimization identities.  The CLI ``verify``
 command and the test suite both run these.
+
+Each graph costs one weighted cover search, shared by the routes check
+and the unmixedness check; one unit-weight search, for the unweighted
+covers; one split; one intersection; and P² cover-order pairs over a
+pool of P = covers + 6 mutated covers.
 """
 
 from __future__ import annotations
@@ -17,10 +22,10 @@ from .decompose import IrreducibleComponent, split_decompose
 from .graphs import (
     Edge,
     WeightedGraph,
+    _unmixedness,
     cover_decomposition,
     cover_leq,
     edge_ideal,
-    is_unmixed,
     is_weighted_cover,
     minimal_vertex_covers,
     minimize_cover,
@@ -90,7 +95,16 @@ def _mutated_covers(graph, covers, rng, count):
 
 
 def check_graph(graph: WeightedGraph, rng: random.Random | None = None):
-    """Run every structural check on one graph."""
+    """Run every structural check on one graph.
+
+    One weighted cover search: ``decomposition-routes-agree`` compares
+    its covers with the split route, and ``unmixedness-routes-agree``
+    reads the same covers through :func:`graphs._unmixedness` and checks
+    their cardinality, or the witnesses' m-heights, against the split
+    components' support sizes.  Besides that, one unit-weight search,
+    one split, one intersection, and every ordered pair of a pool of
+    P = covers + 6 mutated covers, P² pairs.
+    """
     if rng is None:
         rng = random.Random(0)
     results = []
@@ -158,11 +172,21 @@ def check_graph(graph: WeightedGraph, rng: random.Random | None = None):
         CheckResult("cover-predicate-matches-containment", ok, len(pool), detail)
     )
 
-    unmixed = is_unmixed(graph).unmixed
-    by_split_unmixed = len(by_split.support_sizes()) == 1
-    results.append(
-        CheckResult("unmixedness-routes-agree", unmixed == by_split_unmixed, 1, "")
-    )
+    # the covers the routes check just compared with the split route
+    unmixedness = _unmixedness(covers)
+    unmixed = unmixedness.unmixed
+    if unmixed:
+        heights = (unmixedness.cardinality,)
+    else:
+        heights = tuple(c.m_height for c in unmixedness.witnesses)
+    sizes = by_split.support_sizes()
+    # the smallest and the largest support size, or the only one
+    ends = sizes[:1] + sizes[1:][-1:]
+    ok = heights == ends
+    detail = ""
+    if not ok:
+        detail = f"cover m-heights {heights} vs split sizes {sizes} on {graph}"
+    results.append(CheckResult("unmixedness-routes-agree", ok, 1, detail))
 
     ok = True
     detail = ""

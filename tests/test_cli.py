@@ -420,6 +420,35 @@ class TestVerifyCommand:
         assert code == 0
         assert "result: pass (5 graphs)" in out
 
+    def test_random_corpus_payload_is_pinned(self):
+        # every check's case count on a fixed corpus, so that a change to
+        # how verify computes a check cannot drop any of its cases
+        argv = ["verify", "--random", "60", "--seed", "4", "--max-vertices", "6"]
+        code, out, err = invoke([*argv, "--format", "json"])
+        assert (code, err) == (0, "")
+        doc = json.loads(out)
+        assert (doc["status"], doc["diagnostics"]) == ("ok", [])
+        cases = [
+            ("cover-order-matches-ideal-order", 5881),
+            ("cover-predicate-matches-containment", 567),
+            ("decomposition-routes-agree", 60),
+            ("minimization-reaches-minimal", 129),
+            ("radical-flattens-weights", 60),
+            ("uniform-weight-power-identity", 13),
+            ("unmixedness-routes-agree", 60),
+            ("unweighted-covers-lift", 137),
+            ("unweighted-mixedness-persists", 17),
+        ]
+        assert doc["payload"] == {
+            "checks": [
+                {"name": name, "cases": n, "passed": True, "detail": ""}
+                for name, n in cases
+            ],
+            "command": "verify",
+            "graphs": 60,
+            "passed": True,
+        }
+
     def test_reproducible(self):
         args = ["verify", "--random", "4", "--max-vertices", "3", "--seed", "9"]
         assert invoke(args) == invoke(args)

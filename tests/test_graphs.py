@@ -28,7 +28,13 @@ from graphideals.graphs import (
     validate_graph,
     weighted_edge_ideal,
 )
-from graphideals.monomials import MonomialIdeal, ideal_eq
+from graphideals.monomials import (
+    ContextMismatchError,
+    MonomialIdeal,
+    VariableContext,
+    ideal_eq,
+    ideal_leq,
+)
 from graphideals.verify import exhaustive_weighted_graphs, random_weighted_graph
 
 P2 = path_graph([2, 5])
@@ -228,6 +234,27 @@ class TestCoverOrder:
 
     def test_incomparable(self):
         assert not cover_leq(cover({0: 1}), cover({1: 1}))
+
+    def test_rejects_covers_over_different_contexts(self):
+        # P(X1) over 3 variables against P(X1, X5^2) over 5: the order
+        # refuses the pair, as containment of the components and of
+        # their ideals does
+        small = cover({0: 1}, P2)
+        large = cover({0: 1, 4: 2})
+        for a, b in ((small, large), (large, small)):
+            with pytest.raises(ContextMismatchError):
+                cover_leq(a, b)
+            with pytest.raises(ContextMismatchError):
+                b.contains(a)
+            with pytest.raises(ContextMismatchError):
+                ideal_leq(a.ideal(), b.ideal())
+
+    def test_equal_contexts_need_not_be_one_object(self):
+        X5 = VariableContext.of_dimension(5)
+        assert X5 is not C5.context
+        small = IrreducibleComponent(X5, ((0, 1), (4, 2)))
+        assert cover_leq(small, cover({0: 1, 1: 3, 4: 2}))
+        assert not cover_leq(cover({0: 1, 1: 3, 4: 2}), small)
 
 
 class TestCoverIdeal:

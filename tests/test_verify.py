@@ -5,7 +5,14 @@ import random
 import pytest
 
 from graphideals import decompose, graphs, verify
-from graphideals.graphs import cycle_graph, path_graph
+from graphideals.decompose import split_decompose
+from graphideals.graphs import (
+    UnmixednessResult,
+    WeightedGraph,
+    cycle_graph,
+    path_graph,
+    weighted_edge_ideal,
+)
 from graphideals.verify import (
     check_graph,
     exhaustive_weighted_graphs,
@@ -27,12 +34,17 @@ class TestCheckGraph:
 
     @pytest.mark.parametrize(
         "graph",
-        [cycle_graph([2, 5, 3, 4, 2]), path_graph([1, 2, 1, 2])],
-        ids=["C5", "P5-mixed"],
+        [
+            cycle_graph([2, 5, 3, 4, 2]),
+            path_graph([1, 2, 1, 2]),
+            WeightedGraph(("a", "b", "c"), ()),
+        ],
+        ids=["C5", "P5-mixed", "edgeless"],
     )
-    def test_cover_search_runs_at_most_twice(self, graph, monkeypatch):
-        # one weighted search for the decomposition, one inside is_unmixed,
-        # one unit-weight search for the unweighted covers
+    def test_cover_search_runs_once_per_weighting(self, graph, monkeypatch):
+        # one weighted search, shared by the routes check and the
+        # unmixedness check, and one unit-weight search for the
+        # unweighted covers
         calls = {"weighted": 0, "unit": 0}
         search = graphs._maximal_thresholds
 
@@ -43,7 +55,7 @@ class TestCheckGraph:
         monkeypatch.setattr(graphs, "_maximal_thresholds", counted)
         results = check_graph(graph)
         assert all(r.passed for r in results)
-        assert calls["weighted"] <= 2 and calls["unit"] <= 1
+        assert calls == {"weighted": 1, "unit": 1}
 
     @pytest.mark.parametrize(
         "graph",
@@ -116,6 +128,36 @@ class TestCheckGraph:
         check = {r.name: r for r in check_graph(g)}["decomposition-routes-agree"]
         assert not check.passed
         assert "do not intersect back to the ideal" in check.detail
+
+    @pytest.mark.parametrize(
+        "graph, fault",
+        [
+            (cycle_graph([2, 2, 2]), "cardinality"),
+            (path_graph([1, 2, 1, 2]), "witnesses"),
+        ],
+        ids=["unmixed", "mixed"],
+    )
+    def test_detects_wrong_unmixedness_details(self, graph, fault, monkeypatch):
+        # the verdict stays right, so only the comparison of the details
+        # with the split route's support sizes can catch the fault
+        real = graphs._unmixedness
+
+        def wrong(covers):
+            got = real(covers)
+            if fault == "cardinality":
+                assert got.unmixed
+                return UnmixednessResult(True, got.cardinality + 1, None)
+            assert not got.unmixed
+            lo, hi = got.witnesses
+            return UnmixednessResult(False, None, (hi, lo))
+
+        monkeypatch.setattr(verify, "_unmixedness", wrong)
+        failed = [r for r in check_graph(graph) if not r.passed]
+        assert [r.name for r in failed] == ["unmixedness-routes-agree"]
+        sizes = split_decompose(weighted_edge_ideal(graph)).support_sizes()
+        assert (len(sizes) == 1) == (fault == "cardinality")
+        assert failed[0].detail.startswith("cover m-heights")
+        assert f"vs split sizes {sizes}" in failed[0].detail
 
 
 class TestCorpora:
