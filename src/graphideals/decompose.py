@@ -268,7 +268,11 @@ def split_decompose(
     once, when it enters: as an input row, or as a pivot's u or v; the
     peel and the nodes read the supports from that table.  The
     recursion runs on an explicit stack, so its depth is not bounded by
-    Python's recursion limit.  Past ``max_components`` components at any
+    Python's recursion limit.  The top node's list is irredundant, so
+    sorting its packed ints descending puts it in canonical order (the
+    argument is in :class:`_PowersCodec`); then each component is
+    decoded once, whole chunks of fields through the codec's table, and
+    no tuple keys are compared.  Past ``max_components`` components at any
     split or product node, including while a product is being built,
     raises DecompositionLimitError.  The zero ideal decomposes as the
     single component P(empty); the unit ideal is refused, since an
@@ -366,10 +370,14 @@ def split_decompose(
         memo[rows] = comps
         stack.pop()
 
-    powers = sorted(codec.unpack(p + offset) for p in memo[top_rows])
-    return Decomposition._of_sorted(
-        context, tuple(IrreducibleComponent._of_powers(context, p) for p in powers)
+    # the list is irredundant, so descending packed order is canonical
+    # order (see _PowersCodec); adding the peeled offset keeps the order
+    of_powers, unpack = IrreducibleComponent._of_powers, codec.unpack
+    components = tuple(
+        of_powers(context, unpack(p + offset))
+        for p in sorted(memo[top_rows], reverse=True)
     )
+    return Decomposition._of_sorted(context, components)
 
 
 def _independent_parts(masks):
@@ -402,6 +410,19 @@ class _PowersCodec:
     same test on components is ``_powers_leq(b, a)``, and fields on
     disjoint variables add without carries.  ``support`` marks each
     nonzero field by the lowest bit of the field.
+
+    Packed components sort descending in canonical ``powers`` order when
+    no one of them contains another.  At the first variable where two
+    differ, a present field (M - e >= 1) lies above an absent one (0),
+    and a larger field is a smaller exponent, just as the pair tuples
+    compare.  The orders part only when one component's pairs are a
+    prefix of the other's, and then the longer one contains the shorter.
+
+    ``unpack`` reads a component in chunks of whole fields, about 24 bits
+    each (one field when a field is wider), from variable 0's down.  A
+    chunk's pairs come from a table kept per codec, filled on a miss, so
+    the components of one decomposition, which share most of their
+    chunks, decode each distinct chunk once.
     """
 
     def __init__(self, dimension, max_exponent):
@@ -413,7 +434,10 @@ class _PowersCodec:
         self.fields_bits = dimension * self.width
         self.units = sum(1 << s for s in self.shifts)
         self.guards = self.units << self.bits
-        self.index = {s: k for k, s in enumerate(self.shifts)}
+        step = self.chunk_bits = max(1, 24 // self.width) * self.width
+        # chunks start at bit 0, so the one holding variable 0 may be short
+        self.top_chunk = ((1 << step) - 1) << (self.fields_bits - 1) // step * step
+        self.chunks = {}
 
     def pack_row(self, row) -> int:
         fields = sum(e << s for e, s in zip(row, self.shifts))
@@ -428,15 +452,26 @@ class _PowersCodec:
         return (((packed | guards) - self.units) & guards) >> self.bits
 
     def unpack(self, packed) -> tuple[tuple[int, int], ...]:
-        # only the fields on the support, from variable 0's down
-        top, field, index = self.top, self.field, self.index
-        mask = self.support(packed)
-        powers = []
+        chunks, step, mask, powers = self.chunks, self.chunk_bits, self.top_chunk, ()
         while mask:
-            at = mask.bit_length() - 1
-            mask ^= 1 << at
-            powers.append((index[at], top - ((packed >> at) & field)))
-        return tuple(powers)
+            chunk = packed & mask
+            mask >>= step
+            if chunk:
+                pairs = chunks.get(chunk)
+                if pairs is None:
+                    # a miss: read the chunk's highest nonzero field k
+                    # from the bottom, variable last - k, and clear it
+                    top, width, rest = self.top, self.width, chunk
+                    last = len(self.shifts) - 1
+                    pairs = []
+                    while rest:
+                        k = (rest.bit_length() - 1) // width
+                        f = rest >> k * width
+                        rest -= f << k * width
+                        pairs.append((last - k, top - f))
+                    pairs = chunks[chunk] = tuple(pairs)
+                powers += pairs
+        return powers
 
 
 def _split_prune(left, right, u, v, codec):

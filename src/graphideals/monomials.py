@@ -17,6 +17,7 @@ generated by the monomial 1 (the zero row).
 from __future__ import annotations
 
 from collections.abc import Mapping
+from operator import le
 
 from . import kernels
 from ._records import FrozenRecord
@@ -193,13 +194,13 @@ def _all_divided(ideal: MonomialIdeal, masked_rows) -> bool:
 
     Rows come as (support mask, row) pairs.  A divisor's mask lies inside
     its multiple's, so only generators passing that int test are compared
-    exponent by exponent.
+    exponent by exponent, inline: verify compares its pool pairwise here.
     """
     gens = ideal._masked_rows
     for mask, row in masked_rows:
         outside = ~mask
         for t, g in gens:
-            if not t & outside and kernels.divides(g, row):
+            if not t & outside and all(map(le, g, row)):
                 break
         else:
             return False
@@ -218,7 +219,8 @@ def member(ideal: MonomialIdeal, m: Monomial) -> bool:
 
 def ideal_leq(smaller: MonomialIdeal, larger: MonomialIdeal) -> bool:
     """Containment smaller <= larger, decided on generators."""
-    _same_context(smaller, larger)
+    if smaller.context is not larger.context:
+        _same_context(smaller, larger)
     return _all_divided(larger, smaller._masked_rows)
 
 

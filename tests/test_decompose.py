@@ -527,6 +527,10 @@ class TestRouteAgreement:
         g = route_graph(name)
         D = split_decompose(weighted_edge_ideal(g))
         assert len(D) == count
+        # Decomposition._of_sorted trusts the route's order: check it
+        # on the split list alone, strictly increasing
+        powers = [c.powers for c in D.components]
+        assert all(a < b for a, b in zip(powers, powers[1:]))
         assert D.components == cover_decomposition(g).components
 
     def test_star_deeper_than_the_recursion_limit(self):

@@ -15,6 +15,7 @@ from graphideals.decompose import (
     _split_prune,
     split_decompose,
 )
+from graphideals.graphs import cover_decomposition, weighted_edge_ideal
 from graphideals.monomials import (
     Monomial,
     MonomialIdeal,
@@ -22,6 +23,7 @@ from graphideals.monomials import (
     ideal_leq,
     member,
 )
+from graphideals.verify import exhaustive_weighted_graphs
 
 X3 = VariableContext.of_dimension(3)
 
@@ -345,6 +347,60 @@ class TestPackedRows:
                 1 << s for e, s in zip(a, codec.shifts) if e
             )
 
+    @staticmethod
+    def descending(dimension, components):
+        """The powers tuples of ``components`` in descending packed order."""
+        top = max((e for powers in components for _, e in powers), default=0)
+        codec = _PowersCodec(dimension, top)
+        by_packed = {pack(codec, powers): powers for powers in components}
+        assert len(by_packed) == len(components)
+        return [by_packed[m] for m in sorted(by_packed, reverse=True)]
+
+    def test_descending_order_is_canonical_on_both_routes(self):
+        # the split route sorts its packed components descending and
+        # trusts that order; both routes' irredundant lists, shuffled
+        rng = random.Random(20261020)
+        for graph in exhaustive_weighted_graphs(4, weights=(1, 2, 3)):
+            for D in (split_decompose(weighted_edge_ideal(graph)), cover_decomposition(graph)):
+                canonical = [c.powers for c in D.components]
+                shuffled = rng.sample(canonical, len(canonical))
+                assert self.descending(graph.vertex_count, shuffled) == sorted(canonical)
+
+    def test_descending_order_is_canonical_on_generic_ideals(self):
+        rng = random.Random(20261021)
+        for trial in range(300):
+            dim = rng.randint(1, 7)
+            hi = rng.choice((1, 3, 10**20))
+            rows = [r for r in random_vecs(rng, rng.randint(1, 8), dim, hi) if any(r)]
+            if not rows:
+                continue
+            D = split_decompose(MonomialIdeal(VariableContext.of_dimension(dim), rows))
+            canonical = [c.powers for c in D.components]
+            shuffled = rng.sample(canonical, len(canonical))
+            assert self.descending(dim, shuffled) == sorted(canonical)
+
+    def test_orders_disagree_on_a_containing_pair(self):
+        # P(X1) lies inside P(X1, X3^2): its pairs are a prefix of the
+        # other's, so it sorts first in canonical order but has the
+        # smaller packed int
+        small, big = ((0, 1),), ((0, 1), (2, 2))
+        assert _powers_leq(small, big)
+        assert sorted([big, small]) == [small, big]
+        assert self.descending(3, [small, big]) == [big, small]
+
+
+def bit_loop_unpack(codec, packed):
+    """The split route's former decoder, one support bit at a time: the
+    oracle of the chunked ``_PowersCodec.unpack``."""
+    index = {s: k for k, s in enumerate(codec.shifts)}
+    mask = codec.support(packed)
+    powers = []
+    while mask:
+        at = mask.bit_length() - 1
+        mask ^= 1 << at
+        powers.append((index[at], codec.top - ((packed >> at) & codec.field)))
+    return tuple(powers)
+
 
 def pack(codec, powers):
     """A component in the split route's packed layout: field i holds
@@ -410,6 +466,24 @@ class TestCrossPrune:
         codec = _PowersCodec(40, 10**20)
         ends = ((0, 10**20), (39, 1))
         assert codec.unpack(pack(codec, ends)) == ends
+
+    @pytest.mark.parametrize("dim", [1, 4, 5, 9, 17, 40])
+    @pytest.mark.parametrize("max_exp", [1, 3, 7, 8, 10**20])
+    def test_unpack_matches_bit_loop(self, dim, max_exp):
+        # field widths 3, 4, 5, 5 and 68 bits: a chunk holds several
+        # fields or one, and the chunk holding variable 0 may be short.
+        # One codec decodes each list twice, so the second pass reads
+        # every chunk from the table
+        rng = random.Random(f"unpack-{dim}-{max_exp}")
+        for trial in range(20):
+            codec = _PowersCodec(dim, max_exp)
+            items = [random_powers(rng, dim, max_exp) for _ in range(rng.randint(1, 30))]
+            packed = [pack(codec, powers) for powers in prune_powers(items)]
+            rng.shuffle(packed)
+            expected = [bit_loop_unpack(codec, p) for p in packed]
+            for _ in range(2):
+                assert [codec.unpack(p) for p in packed] == expected
+            assert codec.unpack(0) == ()
 
     def test_component_on_both_sides_kept_once(self):
         # the triangle split at its first generator X2*X3, u = X2, v = X3
