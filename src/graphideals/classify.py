@@ -88,12 +88,6 @@ class Verdict(FrozenRecord):
         object.__setattr__(self, "rationale", rationale)
 
 
-def _validate_weights(weights):
-    for w in weights:
-        if not isinstance(w, int) or isinstance(w, bool) or w < 1:
-            raise ValueError("weights must be positive integers")
-
-
 def _five_cycle_pattern(weights) -> dict | None:
     """First dihedral arrangement satisfying e=a <= b >= c <= d >= e, if any."""
     for reflected, base in ((False, tuple(weights)), (True, tuple(reversed(weights)))):
@@ -108,19 +102,16 @@ def _five_cycle_pattern(weights) -> dict | None:
     return None
 
 
-def classify_cycle(n: int, weights) -> Verdict:
-    """Verdict for a weighted cycle from its weight sequence.
+def classify_cycle(graph: WeightedGraph) -> Verdict:
+    """Verdict for a weighted cycle from its weights around the cycle.
 
-    ``weights[i]`` is the weight of edge v_{i+1} v_{i+2}, the last entry
-    closing the cycle.  Rotating or reflecting the sequence never changes
-    the verdict.
+    The verdict depends on the weight sequence of
+    :func:`cycle_weight_sequence` only up to rotation and reflection.
     """
-    if n < 3:
-        raise FamilyMismatchError("a cycle needs at least 3 vertices")
-    weights = tuple(weights)
-    if len(weights) != n:
-        raise ValueError(f"expected {n} weights, got {len(weights)}")
-    _validate_weights(weights)
+    weights = cycle_weight_sequence(graph)
+    if weights is None:
+        raise FamilyMismatchError("not a cycle")
+    n = len(weights)
     trivial = len(set(weights)) <= 1
     if n == 3:
         return Verdict(
@@ -232,27 +223,6 @@ def suspension_split(graph: WeightedGraph) -> SuspensionDecomposition | None:
     return SuspensionDecomposition(tuple(whisker_of), tuple(whisker_of.items()))
 
 
-def _validate_suspension(graph: WeightedGraph, dec: SuspensionDecomposition):
-    """Raise unless ``dec`` is one of :func:`recognize_suspensions`' splits."""
-    split = suspension_split(graph)
-    if split is not None:
-        # each entry, read as a (base, whisker) pair, names one of split's
-        # whisker edges; only an isolated edge may be read either way
-        edge_of = {(w, a): (a, w) for a, w in split.whiskers if graph.degree(a) == 1}
-        edge_of.update((pair, pair) for pair in split.whiskers)
-        try:
-            edges = tuple(sorted(edge_of[a, w] for a, w in dec.whiskers))
-            bases = tuple(a for a, _ in dec.whiskers)
-        except (KeyError, TypeError, ValueError):
-            edges = bases = None
-        if edges == split.whiskers and bases == dec.base_vertices:
-            return
-    raise FamilyMismatchError(
-        "the decomposition does not split the graph into base vertices"
-        " and their whiskers"
-    )
-
-
 def _suspension_condition(graph: WeightedGraph, dec: SuspensionDecomposition):
     """Check each base edge against its endpoints' whisker weights.
 
@@ -297,23 +267,25 @@ def _suspension_verdict(
     return Verdict(family, False, CM_NO, certificate, fails_text)
 
 
-_SUSPENSION_TEXTS = (
-    "every base edge weighs no more than both incident whisker edges",
-    "some base edge outweighs an incident whisker edge",
-)
+def classify_suspension(graph: WeightedGraph) -> Verdict:
+    """Verdict for a graph that splits into base vertices and whiskers.
 
-
-def classify_suspension(graph: WeightedGraph, dec: SuspensionDecomposition) -> Verdict:
-    """Verdict for a graph presented with a suspension decomposition.
-
-    ``dec`` must be one of the splits :func:`recognize_suspensions` lists,
-    which is checked in linear time without listing them; any other
-    decomposition raises :class:`FamilyMismatchError`.  CM, equivalently
-    unmixed, exactly when every base edge weighs no more than the whisker
-    edges at both endpoints.
+    The split is :func:`suspension_split`'s; every other split moves only
+    whiskers of isolated edges, which join no base edge, so it gives the
+    same verdict and violations.  CM, equivalently unmixed, exactly when
+    every base edge weighs no more than the whisker edges at both
+    endpoints.
     """
-    _validate_suspension(graph, dec)
-    return _suspension_verdict(graph, dec, "suspension", *_SUSPENSION_TEXTS)
+    dec = suspension_split(graph)
+    if dec is None:
+        raise FamilyMismatchError("no suspension structure")
+    return _suspension_verdict(
+        graph,
+        dec,
+        "suspension",
+        "every base edge weighs no more than both incident whisker edges",
+        "some base edge outweighs an incident whisker edge",
+    )
 
 
 def _is_tree(graph: WeightedGraph) -> bool:
@@ -435,27 +407,12 @@ def cycle_weight_sequence(graph: WeightedGraph):
     return _trail_weights(graph, 0, min(adjacency[0]))
 
 
-def _classify_cycle_graph(graph: WeightedGraph) -> Verdict:
-    seq = cycle_weight_sequence(graph)
-    if seq is None:
-        raise FamilyMismatchError("not a cycle")
-    return classify_cycle(len(seq), seq)
-
-
-def _classify_suspension_graph(graph: WeightedGraph) -> Verdict:
-    dec = suspension_split(graph)
-    if dec is None:
-        raise FamilyMismatchError("no suspension structure")
-    # suspension_split's own split needs no validation
-    return _suspension_verdict(graph, dec, "suspension", *_SUSPENSION_TEXTS)
-
-
 FAMILIES = {
     "complete": classify_complete,
-    "cycle": _classify_cycle_graph,
+    "cycle": classify_cycle,
     "path": classify_path,
     "tree": classify_tree,
-    "suspension": _classify_suspension_graph,
+    "suspension": classify_suspension,
 }
 
 

@@ -172,7 +172,8 @@ def _parse_cover_option(graph, text: str) -> IrreducibleComponent:
         chunk = chunk.strip()
         if not chunk:
             continue
-        name, sep, weight_text = chunk.partition(":")
+        # the weight follows the last colon, so a name may hold colons
+        name, sep, weight_text = chunk.rpartition(":")
         if not sep:
             raise CommandError(
                 "parse", f"cover entries look like name:weight, got {chunk!r}"
@@ -326,12 +327,7 @@ def _format_cover_pairs(pairs) -> str:
 def _text_lines(payload: dict) -> list[str]:
     command = payload.get("command")
     if command in ("ideal", "radical"):
-        gens = payload["generators"]
-        if not gens:
-            return ["0 (zero ideal)"]
-        if gens == ["1"]:
-            return ["1 (unit ideal)"]
-        return list(gens)
+        return payload["generators"] or ["0 (zero ideal)"]
     if command == "decompose":
         lines = []
         for pairs in payload["components"]:
@@ -363,18 +359,17 @@ def _text_lines(payload: dict) -> list[str]:
         ]
     if command == "primes":
         return ["{" + ", ".join(s) + "}" for s in payload["primes"]]
-    if command == "verify":
-        lines = []
-        for check in payload["checks"]:
-            state = "pass" if check["passed"] else "FAIL"
-            line = f"check {check['name']}: {state} (cases={check['cases']})"
-            if check["detail"]:
-                line += f" {check['detail']}"
-            lines.append(line)
-        summary = "pass" if payload["passed"] else "FAIL"
-        lines.append(f"result: {summary} ({payload['graphs']} graphs)")
-        return lines
-    return [json.dumps(payload, sort_keys=True)]
+    # the one command left: verify
+    lines = []
+    for check in payload["checks"]:
+        state = "pass" if check["passed"] else "FAIL"
+        line = f"check {check['name']}: {state} (cases={check['cases']})"
+        if check["detail"]:
+            line += f" {check['detail']}"
+        lines.append(line)
+    summary = "pass" if payload["passed"] else "FAIL"
+    lines.append(f"result: {summary} ({payload['graphs']} graphs)")
+    return lines
 
 
 def render(report: Report, fmt: str = "text") -> str:

@@ -124,59 +124,59 @@ class TestVerdictValue:
 class TestCycleVerdicts:
     def test_three_cycle_always_cm(self):
         for w in itertools.product((1, 2, 3), repeat=3):
-            v = classify_cycle(3, w)
+            v = classify_cycle(cycle_graph(list(w)))
             assert v.unmixed and v.cohen_macaulay == CM_YES
 
     def test_four_cycle_trivial_unmixed_never_cm(self):
-        v = classify_cycle(4, (2, 2, 2, 2))
+        v = classify_cycle(cycle_graph([2, 2, 2, 2]))
         assert v.unmixed and v.cohen_macaulay == CM_NO
 
     def test_four_cycle_nontrivial_mixed(self):
-        v = classify_cycle(4, (1, 1, 1, 2))
+        v = classify_cycle(cycle_graph([1, 1, 1, 2]))
         assert not v.unmixed and v.cohen_macaulay == CM_NO
 
     def test_five_cycle_alternating_pattern(self):
-        v = classify_cycle(5, (1, 2, 1, 2, 1))
+        v = classify_cycle(cycle_graph([1, 2, 1, 2, 1]))
         assert v.unmixed and v.cohen_macaulay == CM_YES
         assert v.certificate["pattern"] is not None
 
     def test_five_cycle_no_arrangement(self):
-        v = classify_cycle(5, (2, 2, 1, 1, 1))
+        v = classify_cycle(cycle_graph([2, 2, 1, 1, 1]))
         assert not v.unmixed and v.cohen_macaulay == CM_NO
 
     def test_five_cycle_worked_weights(self):
         # e = a = 2 with 2 <= 5 >= 3 <= 4 >= 2
-        v = classify_cycle(5, (2, 5, 3, 4, 2))
+        v = classify_cycle(cycle_graph([2, 5, 3, 4, 2]))
         assert v.unmixed and v.cohen_macaulay == CM_YES
 
     def test_seven_cycle(self):
-        assert classify_cycle(7, (1,) * 7).unmixed
-        assert classify_cycle(7, (1,) * 7).cohen_macaulay == CM_NO
-        assert not classify_cycle(7, (1, 1, 1, 1, 1, 1, 2)).unmixed
+        assert classify_cycle(cycle_graph([1] * 7)).unmixed
+        assert classify_cycle(cycle_graph([1] * 7)).cohen_macaulay == CM_NO
+        assert not classify_cycle(cycle_graph([1, 1, 1, 1, 1, 1, 2])).unmixed
 
     def test_six_cycle_always_mixed(self):
-        assert not classify_cycle(6, (1,) * 6).unmixed
-        assert not classify_cycle(6, (1, 2, 1, 2, 1, 2)).unmixed
+        assert not classify_cycle(cycle_graph([1] * 6)).unmixed
+        assert not classify_cycle(cycle_graph([1, 2, 1, 2, 1, 2])).unmixed
 
     def test_dihedral_invariance(self):
         base = (1, 3, 2, 3, 1)
         verdicts = {
-            classify_cycle(5, w).unmixed
+            classify_cycle(cycle_graph(list(w))).unmixed
             for w in rotations_and_reflections(base)
         }
         assert len(verdicts) == 1
 
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError):
-            classify_cycle(5, (1, 2, 3))
+    def test_rejects_non_cycle(self):
+        for g in (path_graph([1, 2, 3]), complete_graph(4), path_graph([1])):
+            with pytest.raises(FamilyMismatchError, match="not a cycle"):
+                classify_cycle(g)
 
     def test_exhaustive_against_enumeration(self):
         # lengths 3..7, all weight tuples in {1,2}^n
         for n in range(3, 8):
             for w in itertools.product((1, 2), repeat=n):
-                verdict = classify_cycle(n, w)
-                brute = is_unmixed(cycle_graph(list(w)))
-                assert verdict.unmixed == brute.unmixed, (n, w)
+                g = cycle_graph(list(w))
+                assert classify_cycle(g).unmixed == is_unmixed(g).unmixed, (n, w)
 
 
 class TestCompleteVerdicts:
@@ -254,8 +254,7 @@ class TestRecognizeSuspensions:
         )
         decs = recognize_suspensions(g)
         assert len(decs) == len(set(decs)) == 4096
-        for dec in decs:
-            assert classify_suspension(g, dec).cohen_macaulay == CM_YES
+        assert classify_suspension(g).cohen_macaulay == CM_YES
 
 
 class TestSuspensionSplit:
@@ -299,94 +298,75 @@ class TestSuspensionVerdicts:
     def suspension_of_edge(self, base, left, right):
         return suspend(path_graph([base]), [left, right])
 
-    def dec(self, graph):
-        decs = recognize_suspensions(graph)
-        assert decs
-        return decs[0]
-
     def test_light_base_is_cm(self):
-        g = self.suspension_of_edge(1, 3, 2)
-        v = classify_suspension(g, self.dec(g))
+        v = classify_suspension(self.suspension_of_edge(1, 3, 2))
         assert v.unmixed and v.cohen_macaulay == CM_YES
 
     def test_heavy_base_is_mixed(self):
-        g = self.suspension_of_edge(4, 3, 5)
-        v = classify_suspension(g, self.dec(g))
+        v = classify_suspension(self.suspension_of_edge(4, 3, 5))
         assert not v.unmixed and v.cohen_macaulay == CM_NO
         assert v.certificate["violations"]
 
     def test_pure_whiskers_vacuous(self):
         base = WeightedGraph(("a", "b"), ())
-        g = suspend(base, [2, 7])
-        v = classify_suspension(g, self.dec(g))
+        v = classify_suspension(suspend(base, [2, 7]))
         assert v.unmixed and v.cohen_macaulay == CM_YES
 
     def test_condition_matches_enumeration(self):
         for base_w, w1, w2 in itertools.product((1, 2, 3), repeat=3):
             g = self.suspension_of_edge(base_w, w1, w2)
-            v = classify_suspension(g, self.dec(g))
-            assert v.unmixed == is_unmixed(g).unmixed
-
-    def test_invalid_decomposition_rejected(self):
-        g = self.suspension_of_edge(1, 1, 1)
-        bogus = SuspensionDecomposition((0, 1), ((0, 1), (1, 0)))
-        with pytest.raises(FamilyMismatchError):
-            classify_suspension(g, bogus)
+            assert classify_suspension(g).unmixed == is_unmixed(g).unmixed
 
     def test_base_vertex_without_whisker_rejected(self):
-        # path a-b-c with whisker w on a: b and c have no whiskers
-        g = WeightedGraph(("a", "b", "c", "w"), ((0, 1, 1), (1, 2, 1), (0, 3, 1)))
+        # triangle a-b-c with whisker w on a: b and c have no whiskers
+        g = WeightedGraph(
+            ("a", "b", "c", "w"), ((0, 1, 1), (1, 2, 1), (0, 2, 1), (0, 3, 1))
+        )
         with pytest.raises(FamilyMismatchError):
-            classify_suspension(g, SuspensionDecomposition((0, 1, 2), ((0, 3),)))
+            classify_suspension(g)
 
     def test_isolated_base_vertex_rejected(self):
         # edge a-w plus the isolated vertex b, which has no whisker
         g = WeightedGraph(("a", "b", "w"), ((0, 2, 1),))
         with pytest.raises(FamilyMismatchError):
-            classify_suspension(g, SuspensionDecomposition((0, 1), ((0, 2),)))
-
-    @pytest.mark.parametrize(
-        "whiskers", [((0, 1, 0),), ((1, 0, 1),), ((0,),), ((1,),), (0,)]
-    )
-    @pytest.mark.parametrize("base", [(0,), (1,)])
-    def test_whisker_entry_not_a_pair_rejected(self, base, whiskers):
-        # (0, 1, 0) has the vertex set of the whisker edge v1-v2
-        dec = SuspensionDecomposition(base, whiskers)
-        with pytest.raises(FamilyMismatchError):
-            classify_suspension(path_graph([1]), dec)
-
-    def test_list_pair_read_as_pair(self):
-        # an isolated edge may be read either way, as a list or a tuple
-        for base, whisker in ((0, 1), (1, 0)):
-            dec = SuspensionDecomposition((base,), ([base, whisker],))
-            assert classify_suspension(path_graph([1]), dec).cohen_macaulay == CM_YES
+            classify_suspension(g)
 
     def test_accepts_exactly_the_oracle_splits(self):
-        # every base subset and every multiset of up to 3 ordered pairs
-        candidates = accepted = expected = 0
+        # a graph is accepted exactly when the leaf-subset search splits
+        # it (one edge, three matchings and twelve 4-paths), and the
+        # certificate names the first split's whiskers
+        accepted = 0
         for g in exhaustive_weighted_graphs(4, weights=(1,)):
-            d = g.vertex_count
             splits = exhaustive_suspensions(g)
-            expected += len(splits)
-            pairs = list(itertools.permutations(range(d), 2))
-            bases = [
-                base
-                for r in range(d + 1)
-                for base in itertools.combinations(range(d), r)
+            try:
+                v = classify_suspension(g)
+            except FamilyMismatchError:
+                assert not splits, g
+                continue
+            names = g.vertex_names
+            assert v.certificate["whiskers"] == {
+                names[a]: names[w] for a, w in splits[0].whiskers
+            }, g
+            accepted += 1
+        assert accepted == 16
+
+    def test_every_split_gives_one_verdict(self):
+        # isolated edges join no base edge, so the split that
+        # classify_suspension picks decides nothing
+        twelve_edges = WeightedGraph(
+            tuple(f"v{i}" for i in range(24)),
+            tuple(Edge(2 * i, 2 * i + 1, 1) for i in range(12)),
+        )
+        split_counts = []
+        for g in [*exhaustive_weighted_graphs(4), twelve_edges]:
+            outcomes = [
+                classify._suspension_condition(g, dec)
+                for dec in recognize_suspensions(g)
             ]
-            for k in range(4):
-                for whiskers in itertools.combinations_with_replacement(pairs, k):
-                    for base in bases:
-                        dec = SuspensionDecomposition(base, whiskers)
-                        candidates += 1
-                        try:
-                            classify_suspension(g, dec)
-                        except FamilyMismatchError:
-                            assert dec not in splits, (g, dec)
-                        else:
-                            assert dec in splits, (g, dec)
-                            accepted += 1
-        assert (candidates, accepted) == (471378, expected)
+            assert all(outcome == outcomes[0] for outcome in outcomes), g
+            split_counts.append(len(outcomes))
+        assert split_counts[-1] == 4096
+        assert max(split_counts[:-1]) == 4
 
 
 class TestTreeVerdicts:
@@ -574,7 +554,14 @@ class TestAuto:
         assert len(calls) == 1
 
     def test_families_in_priority_order(self):
-        assert list(FAMILIES) == ["complete", "cycle", "path", "tree", "suspension"]
+        # each entry is the public classifier of the graph alone
+        assert list(FAMILIES.items()) == [
+            ("complete", classify_complete),
+            ("cycle", classify_cycle),
+            ("path", classify_path),
+            ("tree", classify_tree),
+            ("suspension", classify_suspension),
+        ]
 
     def test_cycle_weight_sequence(self):
         assert cycle_weight_sequence(cycle_graph([2, 5, 3, 4, 2])) == (

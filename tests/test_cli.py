@@ -292,6 +292,34 @@ class TestMinimizeCommand:
             assert got.powers == oracle.powers, text
             assert got == oracle and hash(got) == hash(oracle)
 
+    COLON_GRAPH = json.dumps(
+        {
+            "vertices": ["a:1", "b", "c"],
+            "edges": [
+                {"u": "a:1", "v": "b", "w": 3},
+                {"u": "b", "v": "c", "w": 2},
+            ],
+        }
+    )
+
+    @pytest.mark.parametrize(
+        "cover, expected",
+        [
+            # the weight follows the last colon
+            ("a:1:3,c:2", (0, "{a:1^3, c^2}\n", "")),
+            ("a:1:1,b:2", (0, "{b^2}\n", "")),
+            ("b:2:", (2, "", "error: unknown vertex 'b:2'\n")),
+            ("b:x", (1, "", "error: cover weight must be an integer, got 'x'\n")),
+            ("b:0", (2, "", "error: cover weights must be positive\n")),
+            (",", (1, "", "error: empty cover given\n")),
+            # empty entries are skipped
+            ("b:2,,c:1", (0, "{b^2}\n", "")),
+        ],
+    )
+    def test_cover_option_entries(self, cover, expected):
+        argv = ["minimize", "-", "--cover", cover]
+        assert invoke(argv, stdin=self.COLON_GRAPH) == expected
+
 
 class TestUnmixedCommand:
     def test_unmixed_graph(self, c5):

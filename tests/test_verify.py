@@ -5,7 +5,7 @@ import random
 import pytest
 
 from graphideals import decompose, graphs, verify
-from graphideals.decompose import split_decompose
+from graphideals.decompose import IrreducibleComponent, split_decompose
 from graphideals.graphs import (
     UnmixednessResult,
     WeightedGraph,
@@ -159,6 +159,54 @@ class TestCheckGraph:
         assert failed[0].detail.startswith("cover m-heights")
         assert f"vs split sizes {sizes}" in failed[0].detail
 
+    @pytest.mark.parametrize(
+        "name, fault, check, detail",
+        [
+            (
+                "cover_leq",
+                lambda c1, c2: True,
+                "cover-order-matches-ideal-order",
+                "cover order vs ideal order differ on ",
+            ),
+            (
+                "is_weighted_cover",
+                lambda graph, c: False,
+                "cover-predicate-matches-containment",
+                "cover predicate vs containment differ on ",
+            ),
+            (
+                "minimize_cover",
+                lambda graph, c: IrreducibleComponent(graph.context, ()),
+                "minimization-reaches-minimal",
+                "minimize_cover left ",
+            ),
+            (
+                "minimize_cover",
+                lambda graph, c: c,
+                "minimization-reaches-minimal",
+                "is not minimal",
+            ),
+            (
+                "minimal_vertex_covers",
+                lambda graph: [tuple(range(graph.vertex_count))],
+                "unweighted-covers-lift",
+                "lift of unweighted cover (0, 1, 2, 3, 4) lost vertices",
+            ),
+        ],
+        ids=[
+            "cover-order",
+            "predicate",
+            "minimize-left",
+            "minimize-not-minimal",
+            "lift",
+        ],
+    )
+    def test_detects_planted_fault(self, name, fault, check, detail, monkeypatch):
+        monkeypatch.setattr(verify, name, fault)
+        result = {r.name: r for r in check_graph(cycle_graph([2, 5, 3, 4, 2]))}[check]
+        assert not result.passed
+        assert detail in result.detail
+
 
 class TestCorpora:
     def test_exhaustive_count_two_vertices(self):
@@ -190,6 +238,23 @@ class TestSuite:
         agree = next(r for r in merged if r.name == "decomposition-routes-agree")
         assert agree.cases == 2
         assert agree.passed
+
+    def test_run_suite_reports_the_failing_graph(self, monkeypatch):
+        # the split route breaks on the 5-cycle only, so the merged check
+        # fails with the second graph's detail and counts both graphs
+        split = verify.split_decompose
+
+        def broken_on_five(ideal, max_components=None):
+            if ideal.context.dimension == 5:
+                return decompose.Decomposition(ideal.context, ())
+            return split(ideal)
+
+        monkeypatch.setattr(verify, "split_decompose", broken_on_five)
+        cycle = cycle_graph([2, 5, 3, 4, 2])
+        merged, count = run_suite([path_graph([2, 5]), cycle])
+        agree = {r.name: r for r in merged}["decomposition-routes-agree"]
+        assert (count, agree.passed, agree.cases) == (2, False, 2)
+        assert agree.detail == f"routes disagree on {cycle}"
 
     def test_run_suite_over_small_corpus(self):
         graphs = list(exhaustive_weighted_graphs(2))
