@@ -26,6 +26,7 @@ from __future__ import annotations
 import argparse
 import json
 import random
+import re
 import sys
 
 from . import __version__
@@ -167,29 +168,33 @@ def _cmd_covers(graph, args) -> dict:
 
 
 def _parse_cover_option(graph, text: str) -> IrreducibleComponent:
+    names = graph.vertex_names
     entries = []
     for chunk in text.split(","):
-        chunk = chunk.strip()
-        if not chunk:
+        if not chunk.strip():
             continue
         # the weight follows the last colon, so a name may hold colons
-        name, sep, weight_text = chunk.rpartition(":")
+        name, sep, weight_text = chunk.rstrip().rpartition(":")
         if not sep:
             raise CommandError(
-                "parse", f"cover entries look like name:weight, got {chunk!r}"
+                "parse", f"cover entries look like name:weight, got {chunk.strip()!r}"
             )
-        name = name.strip()
-        if name not in graph.vertex_names:
+        # the exact name first, so a name may start or end with a blank
+        name = name if name in names else name.strip()
+        if name not in names:
             raise CommandError("validation", f"unknown vertex {name!r}")
         try:
+            # ASCII digits only: int() alone reads "1_0", "+2" and "٢" too
+            if not re.fullmatch("-?[0-9]+", weight_text.strip()):
+                raise ValueError
             weight = int(weight_text)
-        except ValueError:
+        except ValueError:  # int() also rejects strings past the digit limit
             raise CommandError(
                 "parse", f"cover weight must be an integer, got {weight_text!r}"
             ) from None
         if weight < 1:
             raise CommandError("validation", "cover weights must be positive")
-        entries.append((graph.vertex_names.index(name), weight))
+        entries.append((names.index(name), weight))
     if not entries:
         raise CommandError("parse", "empty cover given")
     if len(dict(entries)) != len(entries):

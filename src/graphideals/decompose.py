@@ -10,7 +10,7 @@ fixed factor of every component, and generators on pairwise disjoint sets
 of variables are decomposed apart and their components combined, an
 independence split between parts that each hold a mixed generator.
 Containment between irreducible components reduces to a support/exponent
-comparison (:func:`_powers_leq`), which makes pruning exact: an
+comparison (``kernels.powers_leq``), which makes pruning exact: an
 intersection of m-irreducible ideals inside an m-irreducible ideal forces
 one factor inside it (lcm argument), so irredundant lists are unique and
 route-independent.  Generators and
@@ -28,6 +28,7 @@ from __future__ import annotations
 import bisect
 
 from ._records import FrozenRecord
+from .kernels import powers_leq
 from .monomials import MonomialIdeal, VariableContext, _same_context
 
 DEFAULT_COMPONENT_CAP = 100_000
@@ -126,7 +127,7 @@ class IrreducibleComponent(FrozenRecord):
         larger exponents.
         """
         _same_context(self, other)
-        return _powers_leq(other.powers, self.powers)
+        return powers_leq(other.powers, self.powers)
 
     def __str__(self) -> str:
         if not self.powers:
@@ -134,24 +135,6 @@ class IrreducibleComponent(FrozenRecord):
         names = self.context.names
         parts = [names[i] if e == 1 else f"{names[i]}^{e}" for i, e in self.powers]
         return "(" + ", ".join(parts) + ")"
-
-
-def _powers_leq(small, big) -> bool:
-    # P(small) <= P(big): support(small) inside support(big), big exponents
-    # bounded by small exponents on the shared support; one merge walk,
-    # as both tuples are sorted by index
-    if len(small) > len(big):
-        return False
-    rest = iter(big)
-    for i, e in small:
-        for j, f in rest:
-            if j >= i:
-                break
-        else:
-            return False
-        if j != i or f > e:
-            return False
-    return True
 
 
 class Decomposition(FrozenRecord):
@@ -407,7 +390,7 @@ class _PowersCodec:
     fields does not touch the bits below it.  For monomials that is b
     divides a.  A component P(V', d') fills field i with M - d'(i) on V',
     where M exceeds every exponent, and leaves the others 0; then the
-    same test on components is ``_powers_leq(b, a)``, and fields on
+    same test on components is ``kernels.powers_leq(b, a)``, and fields on
     disjoint variables add without carries.  ``support`` marks each
     nonzero field by the lowest bit of the field.
 

@@ -42,8 +42,8 @@ from .decompose import (
     Decomposition,
     DecompositionLimitError,
     IrreducibleComponent,
-    _powers_leq,
 )
+from .kernels import powers_leq
 from .monomials import MonomialIdeal, VariableContext, _same_context
 
 
@@ -300,7 +300,7 @@ def cover_leq(smaller: IrreducibleComponent, larger: IrreducibleComponent) -> bo
     # identity first: verify compares every pair of a pool on one context
     if smaller.context is not larger.context:
         _same_context(smaller, larger)
-    return _powers_leq(smaller.powers, larger.powers)
+    return powers_leq(smaller.powers, larger.powers)
 
 
 def _max_feasible_weight(graph, entries: Mapping[int, int], v: int) -> int | None:

@@ -9,14 +9,16 @@ Vectors stay dense tuples.  Each one also gets a support mask, bit i set
 when exponent i is positive: a divisor's support lies inside its
 multiple's, so the int test ``t & ~s`` rejects most non-dividing pairs
 before any tuple comparison (the "short exponent vector" filter of
-Bachmann & Schönemann, ISSAC 1998).
+Bachmann & Schönemann, ISSAC 1998).  :func:`all_divided` is the one
+divisor search on masked rows, for :func:`minimalize` and ``monomials``;
+:func:`powers_leq` is the containment order of irreducible components.
 
 Only the pure-Python implementation exists.  ``available``, ``active``
 and ``use`` are kept for perfbench, whose report stamp names the kernel
 implementation and whose raw-kernel timings run under each one.
 """
 
-import operator
+from operator import le
 
 
 def available():
@@ -48,7 +50,7 @@ def grlex_key(vec):
 
 def divides(a, b):
     """Componentwise a <= b."""
-    return all(map(operator.le, a, b))
+    return all(map(le, a, b))
 
 
 def lcm(a, b):
@@ -65,31 +67,59 @@ def support_mask(vec):
     return mask
 
 
+def all_divided(gens, rows):
+    """Every row has a divisor among gens; both hold (support mask, row) pairs.
+
+    Only generators whose mask lies inside the row's are compared, inline:
+    verify compares its pool pairwise here.
+    """
+    for mask, row in rows:
+        outside = ~mask
+        for t, g in gens:
+            if not t & outside and all(map(le, g, row)):
+                break
+        else:
+            return False
+    return True
+
+
 def minimalize(vecs):
     """Minimal elements of vecs under divisibility, in graded-lex order.
 
     Deduplicates, then drops every vector some other vector divides.  A
     strict divisor has strictly smaller total degree, so one ascending
-    sweep over the graded-lex ordering suffices.  A candidate is compared
-    only with the kept vectors whose support mask lies inside its own.
+    sweep over the graded-lex ordering suffices: each candidate goes
+    through :func:`all_divided` against the kept (mask, vector) pairs.
     """
     ordered = sorted(set(vecs), key=grlex_key)
     dim = len(ordered[0]) if ordered else 0
     kept = []
-    kept_masks = []
     for v in ordered:
         if len(v) != dim:
             raise ValueError("exponent vectors must share one dimension")
-        outside = ~support_mask(v)
-        for t, k in zip(kept_masks, kept):
-            if not t & outside and divides(k, v):
-                break
-        else:
-            kept.append(v)
-            kept_masks.append(~outside)
-    return kept
+        pair = (support_mask(v), v)
+        if not all_divided(kept, (pair,)):
+            kept.append(pair)
+    return [v for _, v in kept]
 
 
 def intersect_rows(gens1, gens2):
     """Generating rows of the intersection: minimalized pairwise lcms."""
     return minimalize([lcm(f, g) for f in gens1 for g in gens2])
+
+
+def powers_leq(small, big):
+    """P(small) <= P(big) on index-sorted (variable, exponent) pairs: small's
+    support inside big's, big's exponents no larger there; one merge walk."""
+    if len(small) > len(big):
+        return False
+    rest = iter(big)
+    for i, e in small:
+        for j, f in rest:
+            if j >= i:
+                break
+        else:
+            return False
+        if j != i or f > e:
+            return False
+    return True

@@ -7,8 +7,8 @@ exponent vector over one context, and a :class:`MonomialIdeal` stores the
 exponent rows of its unique minimal generating set in graded-lexicographic
 order; construction canonicalizes, so structural equality is ideal equality.
 Construction also keeps each row's support mask (``kernels.support_mask``)
-in a private attribute; :func:`member` and :func:`ideal_leq` test masks
-before exponents, since a divisor's support lies inside its multiple's.
+in a private attribute.  ``kernels`` holds the masked divisor search
+that :func:`member` and :func:`ideal_leq` run and the minimalizing sweep.
 
 Conventions: the zero ideal is the empty generator list, the unit ideal is
 generated by the monomial 1 (the zero row).
@@ -17,10 +17,10 @@ generated by the monomial 1 (the zero row).
 from __future__ import annotations
 
 from collections.abc import Mapping
-from operator import le
 
 from . import kernels
 from ._records import FrozenRecord
+from .kernels import all_divided
 
 
 class ContextMismatchError(ValueError):
@@ -189,24 +189,6 @@ def divides(m: Monomial, n: Monomial) -> bool:
     return kernels.divides(m.exponents, n.exponents)
 
 
-def _all_divided(ideal: MonomialIdeal, masked_rows) -> bool:
-    """Every row has a divisor among the ideal's generators.
-
-    Rows come as (support mask, row) pairs.  A divisor's mask lies inside
-    its multiple's, so only generators passing that int test are compared
-    exponent by exponent, inline: verify compares its pool pairwise here.
-    """
-    gens = ideal._masked_rows
-    for mask, row in masked_rows:
-        outside = ~mask
-        for t, g in gens:
-            if not t & outside and all(map(le, g, row)):
-                break
-        else:
-            return False
-    return True
-
-
 def member(ideal: MonomialIdeal, m: Monomial) -> bool:
     """Ideal membership: some generator divides m.
 
@@ -214,14 +196,14 @@ def member(ideal: MonomialIdeal, m: Monomial) -> bool:
     """
     _same_context(ideal, m)
     row = m.exponents
-    return _all_divided(ideal, ((kernels.support_mask(row), row),))
+    return all_divided(ideal._masked_rows, ((kernels.support_mask(row), row),))
 
 
 def ideal_leq(smaller: MonomialIdeal, larger: MonomialIdeal) -> bool:
     """Containment smaller <= larger, decided on generators."""
     if smaller.context is not larger.context:
         _same_context(smaller, larger)
-    return _all_divided(larger, smaller._masked_rows)
+    return all_divided(larger._masked_rows, smaller._masked_rows)
 
 
 def ideal_eq(a: MonomialIdeal, b: MonomialIdeal) -> bool:

@@ -314,11 +314,34 @@ class TestMinimizeCommand:
             (",", (1, "", "error: empty cover given\n")),
             # empty entries are skipped
             ("b:2,,c:1", (0, "{b^2}\n", "")),
+            # ASCII digits only, as in the graph document
+            ("b:1_0", (1, "", "error: cover weight must be an integer, got '1_0'\n")),
+            ("b:+2", (1, "", "error: cover weight must be an integer, got '+2'\n")),
+            ("b:\u0662", (1, "", "error: cover weight must be an integer, got '\u0662'\n")),
+            ("b:-1", (2, "", "error: cover weights must be positive\n")),
+            ("b: 2 ", (0, "{b^2}\n", "")),
         ],
     )
     def test_cover_option_entries(self, cover, expected):
         argv = ["minimize", "-", "--cover", cover]
         assert invoke(argv, stdin=self.COLON_GRAPH) == expected
+
+    BLANK_GRAPH = json.dumps(
+        {"vertices": [" a", "b"], "edges": [{"u": " a", "v": "b", "w": 2}]}
+    )
+
+    @pytest.mark.parametrize(
+        "cover, expected",
+        [
+            (" a:2", (0, "{ a^2}\n", "")),
+            # the stripped name only when no vertex has the exact one
+            ("b:3, a:2", (0, "{ a^2}\n", "")),
+            ("a:2", (2, "", "error: unknown vertex 'a'\n")),
+        ],
+    )
+    def test_cover_option_exact_name(self, cover, expected):
+        argv = ["minimize", "-", "--cover", cover]
+        assert invoke(argv, stdin=self.BLANK_GRAPH) == expected
 
 
 class TestUnmixedCommand:

@@ -11,7 +11,6 @@ import pytest
 from graphideals import kernels
 from graphideals.decompose import (
     _PowersCodec,
-    _powers_leq,
     _split_prune,
     split_decompose,
 )
@@ -246,7 +245,7 @@ class TestSupportMaskedLayer:
                     big[i] = rng.choice(values[1:])
             big = tuple(sorted(big.items()))
             for x, y in [(small, big), (big, small), (small, small)]:
-                assert _powers_leq(x, y) == dense_powers_leq(x, y)
+                assert kernels.powers_leq(x, y) == dense_powers_leq(x, y)
 
 
 def prune_powers(items):
@@ -254,9 +253,10 @@ def prune_powers(items):
 
     Encodes each tuple as the vector with M - e at each variable it
     raises to e and 0 elsewhere, M exceeding every exponent.  Then
-    _powers_leq(b, a) holds exactly when b's vector divides a's, so the
-    minimal components are the kernel's minimal vectors.  The oracle for
-    any list of components, faster than the all-pairs sweep below.
+    kernels.powers_leq(b, a) holds exactly when b's vector divides a's,
+    so the minimal components are the kernel's minimal vectors.  The
+    oracle for any list of components, faster than the all-pairs sweep
+    below.
     """
     uniq = set(items)
     dim = 1 + max((i for powers in uniq for i, _ in powers), default=-1)
@@ -275,7 +275,7 @@ def brute_prune_powers(items):
     below in the component order; dedupe; sort."""
     uniq = sorted(set(items))
     return tuple(
-        a for a in uniq if not any(b != a and _powers_leq(b, a) for b in uniq)
+        a for a in uniq if not any(b != a and kernels.powers_leq(b, a) for b in uniq)
     )
 
 
@@ -384,7 +384,7 @@ class TestPackedRows:
         # other's, so it sorts first in canonical order but has the
         # smaller packed int
         small, big = ((0, 1),), ((0, 1), (2, 2))
-        assert _powers_leq(small, big)
+        assert kernels.powers_leq(small, big)
         assert sorted([big, small]) == [small, big]
         assert self.descending(3, [small, big]) == [big, small]
 
