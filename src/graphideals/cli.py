@@ -179,8 +179,16 @@ def _parse_cover_option(graph, text: str) -> IrreducibleComponent:
             raise CommandError(
                 "parse", f"cover entries look like name:weight, got {chunk.strip()!r}"
             )
-        # the exact name first, so a name may start or end with a blank
-        name = name if name in names else name.strip()
+        # the exact name first, so a name may start or end with a blank;
+        # when the stripped text names another vertex, neither is meant
+        stripped = name.strip()
+        if name not in names:
+            name = stripped
+        elif stripped != name and stripped in names:
+            raise CommandError(
+                "validation",
+                f"ambiguous vertex name {name!r}: {stripped!r} is a vertex too",
+            )
         if name not in names:
             raise CommandError("validation", f"unknown vertex {name!r}")
         try:

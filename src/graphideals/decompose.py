@@ -8,7 +8,9 @@ Roune's slice algorithm (J. Symbolic Comput. 44, 2009), a lone pure power,
 one on a variable that no mixed generator raises, is peeled off as a
 fixed factor of every component, and generators on pairwise disjoint sets
 of variables are decomposed apart and their components combined, an
-independence split between parts that each hold a mixed generator.
+independence split between parts that each hold a mixed generator.  A
+star node, whose mixed generators all join one hub variable to distinct
+other variables, is a base case with a closed-form decomposition.
 Containment between irreducible components reduces to a support/exponent
 comparison (``kernels.powers_leq``), which makes pruning exact: an
 intersection of m-irreducible ideals inside an m-irreducible ideal forces
@@ -234,6 +236,15 @@ def split_decompose(
     subproblem's components.  Rows left empty are the zero ideal, the one
     component P(empty).  Otherwise some mixed row is left, and at the node:
 
+    - if every mixed row is x_c^a_k * y_k^b_k, through one hub c to
+      distinct y_k, it is a star node (the peel leaves only pure powers
+      x_c^p and y_k^q_k, p above every a_k and q_k above b_k), decomposed
+      in closed form: one component
+      P_a = (x_c^a) + (y_k^b_k : a_k < a) + (y_k^q_k : a_k >= a) for each
+      distinct a_k, and P_inf = (x_c^p) + (y_k^b_k : every k), each pure
+      power only where that row exists.  None contains another: for
+      a < a' (a' possibly inf), y_k^b_k with a_k = a lies in P_a' and not
+      in P_a, and x_c^a lies in P_a and not in P_a';
     - if the generators fall into parts on pairwise disjoint variables
       (an independence split), each part holds a mixed row and is
       decomposed on its own, and the components are the cartesian
@@ -246,20 +257,22 @@ def split_decompose(
       test on u's or v's fields, and only the rest are compared.
 
     No generator divides u or v (it would divide the pivot), so adjoining
-    either one drops its multiples and inserts it, a linear pass of one
-    subtraction per row.  Each monomial's degree and support are computed
-    once, when it enters: as an input row, or as a pivot's u or v; the
-    peel and the nodes read the supports from that table.  The
-    recursion runs on an explicit stack, so its depth is not bounded by
-    Python's recursion limit.  The top node's list is irredundant, so
-    sorting its packed ints descending puts it in canonical order (the
-    argument is in :class:`_PowersCodec`); then each component is
-    decoded once, whole chunks of fields through the codec's table, and
-    no tuple keys are compared.  Past ``max_components`` components at any
-    split or product node, including while a product is being built,
-    raises DecompositionLimitError.  The zero ideal decomposes as the
-    single component P(empty); the unit ideal is refused, since an
-    intersection of proper monomial ideals is never the whole ring.
+    either one drops its multiples and inserts it, and the peel needs the
+    supports of the rows left: one pass of one subtraction and one
+    support lookup per row builds each child.  Each monomial's degree and
+    support are computed once, when it enters: as an input row, or as a
+    pivot's u or v; the peel and the nodes read the supports from that
+    table.  The recursion runs on an explicit stack, so its depth is not
+    bounded by Python's recursion limit.  The top node's list is
+    irredundant, so sorting its packed ints descending puts it in
+    canonical order (the argument is in :class:`_PowersCodec`); then each
+    component is decoded once, whole chunks of fields through the codec's
+    table, and no tuple keys are compared.  Past ``max_components``
+    components at any star, split or product node, including while a
+    product is being built, raises DecompositionLimitError.  The zero
+    ideal decomposes as the single component P(empty); the unit ideal is
+    refused, since an intersection of proper monomial ideals is never the
+    whole ring.
     """
     if ideal.is_unit:
         raise ValueError("unit ideal has no irreducible decomposition")
@@ -268,38 +281,79 @@ def split_decompose(
         context.dimension, max((e for r in ideal.rows for e in r), default=0)
     )
     guards, field, degree_unit = codec.guards, codec.field, 1 << codec.fields_bits
+    fields = degree_unit - 1
     top_rows = tuple(codec.pack_row(r) for r in ideal.rows)
     support = {m: codec.support(m) for m in top_rows}
 
-    def adjoin(rows, m):
-        # a multiple of m sorts after it, so only the rows past its
-        # insertion point can be dropped
-        at = bisect.bisect(rows, m)
-        kept = [r for r in rows[at:] if ((r | guards) - m) & guards != guards]
-        return (*rows[:at], m, *kept)
-
-    def peel(rows):
-        # a pure power on a variable no mixed row raises is a factor of
-        # every component: field k of the offset is top - e_k on its support
-        mixed = pure = 0
+    def child(rows, m):
+        # adjoin m and drop its multiples; the same pass ORs the supports
+        # of the mixed and of the pure rows for the peel: a pure power on
+        # a variable no mixed row raises is a factor of every component,
+        # field k of the offset top - e_k on its support
+        s = support[m]
+        mixed, pure = (s, 0) if s & (s - 1) else (0, s)
+        kept = []
         for r in rows:
-            s = support[r]
-            if s & (s - 1):
-                mixed |= s
-            else:
-                pure |= s
+            if ((r | guards) - m) & guards != guards:
+                kept.append(r)
+                s = support[r]
+                if s & (s - 1):
+                    mixed |= s
+                else:
+                    pure |= s
+        kept.insert(bisect.bisect(kept, m), m)
         lone = pure & ~mixed
         if not lone:
-            return rows, 0
-        rest = tuple(r for r in rows if support[r] & mixed)
-        return rest, codec.top * lone - ((sum(rows) - sum(rest)) & (degree_unit - 1))
+            return tuple(kept), 0
+        rest = tuple(r for r in kept if support[r] & mixed)
+        return rest, codec.top * lone - ((sum(kept) - sum(rest)) & fields)
+
+    def star(rows, masks):
+        # the closed form of a star node, or None: every mixed row is
+        # x_c^a_k * y_k^b_k through one hub c, the y_k distinct: the mixed
+        # rows raise one variable each besides c
+        hub, spokes, count = -1, 0, 1
+        for s in masks:
+            t = s & (s - 1)
+            if t:
+                hub &= s
+                if not hub or t & (t - 1):
+                    return None
+                spokes |= s
+                count += 1
+        if spokes.bit_count() != count:
+            return None
+        # one mixed row shares both its variables: either is a hub
+        shift = hub.bit_length() - 1
+        hub, top = 1 << shift, codec.top
+        leaves = fields - (field << shift)
+        pure = {s: r & fields for r, s in zip(rows, masks) if not s & (s - 1)}
+        cap = pure.pop(hub, 0)
+        # P_a = (x_c^a) + (y_k^b_k : a_k < a) + (y_k^q_k : a_k >= a), one
+        # for each distinct a_k, in ascending a_k: past a, the rows with
+        # a_k = a swap their y_k^q_k fields (or nothing) for y_k^b_k
+        running = sum(top * s - q for s, q in pure.items())
+        steps = {}
+        for r, s in zip(rows, masks):
+            if s & (s - 1):
+                a = (r >> shift) & field
+                y = s - hub
+                steps[a] = steps.get(a, 0) + pure.get(y, top * y) - (r & leaves)
+        comps = []
+        for a in sorted(steps):
+            comps.append(running + ((top - a) << shift))
+            running += steps[a]
+        # P_inf: x_c^p if that row exists, and every y_k^b_k
+        comps.append(running + (top * hub - cap if cap else 0))
+        return tuple(comps)
 
     def over_cap():
         return DecompositionLimitError(
             f"decomposition exceeded {max_components} components"
         )
 
-    top_rows, offset = peel(top_rows)
+    # the least row adjoined to the others drops none of them: a peel
+    top_rows, offset = child(top_rows[1:], top_rows[0]) if top_rows else ((), 0)
     memo: dict[tuple, tuple] = {(): (0,)}
     # a frame is (rows, None, None) until expanded, then (rows, children,
     # the pivot's (u, v) or None), each child a (rows, offset) pair; every
@@ -313,6 +367,13 @@ def split_decompose(
             continue
         if children is None:
             masks = [support[r] for r in rows]
+            comps = star(rows, masks)
+            if comps is not None:
+                if len(comps) > max_components:
+                    raise over_cap()
+                memo[rows] = comps
+                stack.pop()
+                continue
             # a pure power left here shares its variable with a mixed row
             parts = _independent_parts(masks)
             if len(parts) > 1:
@@ -331,14 +392,14 @@ def split_decompose(
                 v = pivot - u
                 support[u] = unit
                 support[v] = s - unit
-                children = [peel(adjoin(rows, u)), peel(adjoin(rows, v))]
+                children = [child(rows, u), child(rows, v)]
                 stack[-1] = (rows, children, (u, v))
             stack.extend((c, None, None) for c, _ in children if c not in memo)
             continue
         if factors is None:
             comps = (0,)
-            for child, _ in children:
-                sub = memo[child]
+            for c, _ in children:
+                sub = memo[c]
                 if len(comps) * len(sub) > max_components:
                     raise over_cap()
                 # disjoint variables: adding packed fields merges them

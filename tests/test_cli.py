@@ -343,6 +343,29 @@ class TestMinimizeCommand:
         argv = ["minimize", "-", "--cover", cover]
         assert invoke(argv, stdin=self.BLANK_GRAPH) == expected
 
+    TWIN_GRAPH = json.dumps(
+        {
+            "vertices": ["a", " a", "b"],
+            "edges": [{"u": "a", "v": "b", "w": 1}, {"u": " a", "v": "b", "w": 1}],
+        }
+    )
+    AMBIGUOUS = "error: ambiguous vertex name ' a': 'a' is a vertex too\n"
+
+    @pytest.mark.parametrize(
+        "cover, expected",
+        [
+            # " a" names one vertex exactly and "a" once stripped
+            ("b:1, a:1", (2, "", AMBIGUOUS)),
+            (" a:1,b:1", (2, "", AMBIGUOUS)),
+            ("b:1,a:1", (0, "{b^1}\n", "")),
+            ("a:1, a :1", (2, "", "error: cover vertices must be distinct\n")),
+            ("b:1,  a:1", (0, "{b^1}\n", "")),
+        ],
+    )
+    def test_cover_option_ambiguous_name(self, cover, expected):
+        argv = ["minimize", "-", "--cover", cover]
+        assert invoke(argv, stdin=self.TWIN_GRAPH) == expected
+
 
 class TestUnmixedCommand:
     def test_unmixed_graph(self, c5):

@@ -13,7 +13,7 @@ from graphideals.decompose import (
     is_m_unmixed_ideal,
     split_decompose,
 )
-from graphideals import kernels
+from graphideals import decompose, kernels
 from graphideals.graphs import (
     Edge,
     WeightedGraph,
@@ -478,6 +478,108 @@ class TestLonePurePowers:
             split_decompose(I, max_components=2**k - 1)
 
 
+def power_row(d, powers):
+    return tuple(powers.get(i, 0) for i in range(d))
+
+
+def seeded_star_ideal(rng, leaves, hub_exponents=(1, 2, 3, 10**20)):
+    """Mixed rows x_c^a_k * y_k^b_k on a hub c and distinct leaves y_k, the
+    a_k drawn from at most three values so that they repeat; pure powers
+    y_k^q_k (q_k > b_k) on about half of the leaves, x_c^p (p above every
+    a_k) in about half of the ideals, and a lone pure power on a spare
+    variable, peeled before the star, in about half."""
+    d = leaves + rng.randint(2, 3)
+    hub, *ys = rng.sample(range(d), leaves + 1)
+    spare = [i for i in range(d) if i != hub and i not in ys]
+    hubs = rng.sample(hub_exponents, rng.randint(1, 3))
+    rows = []
+    for y in ys:
+        b = rng.choice((1, 2, 3, 10**20))
+        rows.append(power_row(d, {hub: rng.choice(hubs), y: b}))
+        if rng.random() < 0.5:
+            rows.append(power_row(d, {y: b + rng.randint(1, 3)}))
+    if rng.random() < 0.5:
+        rows.append(power_row(d, {hub: max(hubs) + rng.randint(1, 3)}))
+    if rng.random() < 0.5:
+        rows.append(power_row(d, {spare[0]: rng.randint(1, 3)}))
+    return MonomialIdeal(VariableContext.of_dimension(d), rows), hub
+
+
+class TestStarNodes:
+    """A node whose mixed rows all run through one hub c to distinct leaves
+    y_k decomposes in closed form: one component per distinct hub
+    exponent, and one more without c's mixed rows."""
+
+    @pytest.fixture
+    def prunes(self, monkeypatch):
+        # the split count: a star at the top node decomposes with none
+        calls = []
+        split_prune = decompose._split_prune
+
+        def counted(*args):
+            calls.append(args)
+            return split_prune(*args)
+
+        monkeypatch.setattr(decompose, "_split_prune", counted)
+        return calls
+
+    @staticmethod
+    def assert_decomposes(I):
+        D = split_decompose(I)
+        assert D.intersection().rows == I.rows
+        assert tuple_fold(D).rows == I.rows
+        for a, b in itertools.permutations(D.components, 2):
+            assert not a.contains(b)
+        return D
+
+    def test_seeded_stars_take_the_closed_form(self, prunes):
+        rng = random.Random(2601)
+        seen = {"single": 0, "repeated hub": 0, "pure hub": 0, "pure leaf": 0}
+        for _ in range(300):
+            I, hub = seeded_star_ideal(rng, rng.randint(1, 7))
+            supports = [{i for i, e in enumerate(r) if e} for r in I.rows]
+            pure = {i for s in supports if len(s) == 1 for i in s}
+            leaves = {i for s in supports if len(s) > 1 for i in s} - {hub}
+            hub_exponents = [r[hub] for r, s in zip(I.rows, supports) if len(s) > 1]
+            seen["single"] += len(hub_exponents) == 1
+            seen["repeated hub"] += len(set(hub_exponents)) < len(hub_exponents)
+            seen["pure hub"] += hub in pure
+            seen["pure leaf"] += bool(leaves & pure)
+            D = self.assert_decomposes(I)
+            # a lone pure power is a fixed factor; it adds no component
+            assert len(D) == len(set(hub_exponents)) + 1
+        assert min(seen.values()) > 20, seen
+        assert prunes == []
+
+    def test_non_stars_fall_back_to_splitting(self, prunes):
+        rng = random.Random(2602)
+        for extra in ("two mixed rows on one leaf", "three variables through the hub"):
+            for _ in range(100):
+                I, hub = seeded_star_ideal(rng, rng.randint(1, 5), (2, 3, 10**20))
+                d = I.context.dimension + 2
+                rows = [r + (0, 0) for r in I.rows]
+                y, z = d - 2, d - 1
+                if extra == "two mixed rows on one leaf":
+                    rows += [power_row(d, {hub: 1, y: 3}), power_row(d, {hub: 2, y: 1})]
+                else:
+                    rows.append(power_row(d, {hub: 1, y: 1, z: 2}))
+                J = MonomialIdeal(VariableContext.of_dimension(d), rows)
+                before = len(prunes)
+                self.assert_decomposes(J)
+                assert len(prunes) > before, (extra, J.rows)
+
+    def test_cap_counts_the_star_components(self):
+        # m distinct hub exponents: m + 1 components
+        m = 6
+        I = ideal(
+            VariableContext.of_dimension(m + 1),
+            *(power_row(m + 1, {0: k, k: 1}) for k in range(1, m + 1)),
+        )
+        assert len(split_decompose(I, max_components=m + 1)) == m + 1
+        with pytest.raises(DecompositionLimitError, match=f"{m} components"):
+            split_decompose(I, max_components=m)
+
+
 class TestTrustedConstructors:
     """Both routes build their output with IrreducibleComponent._of_powers
     and Decomposition._of_sorted; the validating constructors are the
@@ -542,6 +644,24 @@ class TestRouteAgreement:
         D = split_decompose(weighted_edge_ideal(g))
         assert len(D) == 4
         assert D.components == cover_decomposition(g).components
+
+    def test_large_star(self):
+        n = 800
+        g = weighted_graph(n + 1, [Edge(0, i + 1, 1 + i % 3) for i in range(n)])
+        D = split_decompose(weighted_edge_ideal(g))
+        assert len(D) == 4
+        assert D.components == cover_decomposition(g).components
+
+    def test_split_deeper_than_the_recursion_limit(self):
+        # (x, y)^n: every split adjoins x^k, a dead end, and y^(n-k), which
+        # leaves the staircase one row shorter, so the splits nest n - 2
+        # deep; only the last node, with one mixed row, is a star
+        n = 1100
+        X = VariableContext.of_dimension(2)
+        D = split_decompose(ideal(X, *((k, n - k) for k in range(n + 1))))
+        assert D.components == tuple(
+            comp(X, {0: k, 1: n + 1 - k}) for k in range(1, n + 1)
+        )
 
     def test_star_ideal_builds_faster_than_it_splits(self):
         # edges of a star never divide each other; the support-filtered
