@@ -2,32 +2,31 @@
 
 An ideal generated by pure powers of distinct variables is m-irreducible.
 :func:`split_decompose` writes any monomial ideal as a finite intersection
-of such ideals by recursively splitting a mixed generator f = u*v into the
-two larger ideals (I + (u)) and (I + (v)) with u, v coprime.  After
-Roune's slice algorithm (J. Symbolic Comput. 44, 2009), a lone pure power,
-one on a variable that no mixed generator raises, is peeled off as a
-fixed factor of every component, and generators on pairwise disjoint sets
-of variables are decomposed apart and their components combined, an
-independence split between parts that each hold a mixed generator.  A
-star node, whose mixed generators all join one hub variable to distinct
-other variables, is a base case with a closed-form decomposition.
-Containment between irreducible components reduces to a support/exponent
-comparison (``kernels.powers_leq``), which makes pruning exact: an
-intersection of m-irreducible ideals inside an m-irreducible ideal forces
-one factor inside it (lcm argument), so irredundant lists are unique and
-route-independent.  Generators and
-components are packed into one integer each, so that divisibility and
-containment are one subtraction (packed-vector divisibility after
-Bachmann & Schönemann, ISSAC 1998).  At a split f = u*v, with u a pure
-power, the two sides are irredundant already, and tests on the fields
-of u and v settle most pairs without comparing them: a component of
-I + (v) that contains u is dropped, a component of I + (u) that does not
-contain v is kept, and only the rest are compared.
+of such ideals by splitting it on one variable c at all of c's exponents
+at once, the label split of Roune's slice algorithm (J. Symbolic Comput.
+44, 2009).  A component holding x_c^a, and no lower power of c, contains
+I exactly when its other powers contain the ideal J_a of the cofactors m
+of the generators x_c^b * m with b < a.  The J_a grow with a, and a
+component of one J_a gives a redundant component of I exactly when it is
+a component of the next J_a as well, so pruning is an equality test
+(cf. E. Miller & B. Sturmfels, Combinatorial Commutative Algebra, 2005,
+ch. 5).  After the slice algorithm too, a lone pure power, one on a
+variable that no mixed generator raises, is peeled off as a fixed factor
+of every component, and generators on pairwise disjoint sets of variables
+are decomposed apart and their components combined, an independence split
+between parts that each hold a mixed generator.  A star node, whose mixed
+generators all join one hub variable to distinct other variables, is a
+base case with a closed-form decomposition.  Containment between
+irreducible components reduces to a support/exponent comparison
+(``kernels.powers_leq``): an intersection of m-irreducible ideals inside
+an m-irreducible ideal forces one factor inside it (lcm argument), so
+irredundant lists are unique and route-independent.  Generators and
+components are packed into one integer each, so that divisibility is one
+subtraction (packed-vector divisibility after Bachmann & Schönemann,
+ISSAC 1998) and equal components are equal ints.
 """
 
 from __future__ import annotations
-
-import bisect
 
 from ._records import FrozenRecord
 from .kernels import powers_leq
@@ -167,8 +166,12 @@ class Decomposition(FrozenRecord):
     def intersection(self) -> MonomialIdeal:
         """Intersect all components; recovers the decomposed ideal.
 
-        Folds the components into the generator rows of their
-        intersection, starting from the unit ideal's row 1.  Rows are
+        Folds the components, in reverse canonical order, into the
+        generator rows of their intersection, starting from the unit
+        ideal's row 1.  Any order gives the same rows, but on the 6602
+        components of C20 (weights 1 + i % 3) the reverse one held at
+        most 32 rows in between against 240 in forward order, and took
+        about a third of the time.  Rows are
         packed as in :func:`split_decompose` (:class:`_PowersCodec`, the
         degree above the exponent fields), so the ints sort in graded-lex
         order.  Against a component P = (x_i^e_i : i in V'), a row r with
@@ -190,7 +193,7 @@ class Decomposition(FrozenRecord):
         guards, shifts, field = codec.guards, codec.shifts, codec.field
         degree_shift = codec.fields_bits
         rows = [0]
-        for c in self.components:
+        for c in reversed(self.components):
             steps = [(shifts[i], e) for i, e in c.powers]
             powers = sum(e << s for s, e in steps)
             in_support = sum(1 << s for s, _ in steps) << codec.bits
@@ -249,30 +252,45 @@ def split_decompose(
       (an independence split), each part holds a mixed row and is
       decomposed on its own, and the components are the cartesian
       product of the parts' lists, which is irredundant as it stands;
-    - otherwise the first generator that is not a pure power splits into
-      its lowest-variable pure-power factor u and the cofactor v, and
-      the decompositions of I + (u) and I + (v) are merged by
-      :func:`_split_prune`: a component of I + (v) that contains u goes,
-      a component of I + (u) that does not contain v stays, each by a
-      test on u's or v's fields, and only the rest are compared.
+    - otherwise it is a variable split on a variable c that the most
+      mixed rows raise: the lowest such variable of the first mixed row,
+      in row order, that raises one.  Write each row that raises c as
+      x_c^a_k * m_k.  The levels are the distinct a_k of the mixed rows
+      and a top level: the cap p if x_c^p is a row, inf otherwise.  An
+      ideal Q = (x_c^a) + P, with P free of c, contains I exactly when P
+      contains the child J_a = (rows without c) + (m_k : a_k < a), and
+      Q = P (a = inf) exactly when P contains every m_k.  J_a is the
+      same between two levels, where a higher a makes Q smaller, and is
+      the unit ideal past p, so each component of I is a candidate
+      x_c^a + P, a a level and P a component of J_a.  A candidate is a
+      component exactly when P is not a component of the next level's
+      child J_b too.  Proof: another candidate Q' = x_c^a' + P' lies
+      inside Q only if a' >= a and P' lies inside P.  At a' = a, P' = P,
+      as J_a's list is irredundant.  At a' > a, P contains P', hence
+      J_a', hence J_b; P is minimal over J_a, which J_b contains, so P
+      is a component of J_b.  Conversely, if it is, x_c^b + P contains
+      I and lies strictly inside Q.  So the node keeps x_c^a + P for P
+      in J_a's list and not in J_b's, a set lookup of packed ints, and
+      no kept candidate lies inside another.
 
-    No generator divides u or v (it would divide the pivot), so adjoining
-    either one drops its multiples and inserts it, and the peel needs the
-    supports of the rows left: one pass of one subtraction and one
-    support lookup per row builds each child.  Each monomial's degree and
-    support are computed once, when it enters: as an input row, or as a
-    pivot's u or v; the peel and the nodes read the supports from that
-    table.  The recursion runs on an explicit stack, so its depth is not
-    bounded by Python's recursion limit.  The top node's list is
-    irredundant, so sorting its packed ints descending puts it in
-    canonical order (the argument is in :class:`_PowersCodec`); then each
-    component is decoded once, whole chunks of fields through the codec's
-    table, and no tuple keys are compared.  Past ``max_components``
-    components at any star, split or product node, including while a
-    product is being built, raises DecompositionLimitError.  The zero
-    ideal decomposes as the single component P(empty); the unit ideal is
-    refused, since an intersection of proper monomial ideals is never the
-    whole ring.
+    The children J_a1, ..., J_top form a chain, each the one below plus
+    one level's m_k.  No row of the one below divides such an m_k (it
+    would divide x_c^a_k * m_k), so adjoining the m_k drops their
+    multiples and inserts them, and the peel needs the supports of the
+    rows left: one pass of :func:`child` builds each child from the one
+    below.  Each monomial's degree and support are computed once, when it
+    enters: as an input row, or as a cofactor m_k; the peel and the nodes
+    read the supports from that table.  The recursion runs on an explicit
+    stack, so its depth is not bounded by Python's recursion limit.  The
+    top node's list is irredundant, so sorting its packed ints descending
+    puts it in canonical order (the argument is in :class:`_PowersCodec`);
+    then each component is decoded once, whole chunks of fields through
+    the codec's table, and no tuple keys are compared.  Past
+    ``max_components`` components at any star, variable split or product
+    node, including while a split's levels or a product are being
+    combined, raises DecompositionLimitError.  The zero ideal decomposes
+    as the single component P(empty); the unit ideal is refused, since an
+    intersection of proper monomial ideals is never the whole ring.
     """
     if ideal.is_unit:
         raise ValueError("unit ideal has no irreducible decomposition")
@@ -285,28 +303,41 @@ def split_decompose(
     top_rows = tuple(codec.pack_row(r) for r in ideal.rows)
     support = {m: codec.support(m) for m in top_rows}
 
-    def child(rows, m):
-        # adjoin m and drop its multiples; the same pass ORs the supports
-        # of the mixed and of the pure rows for the peel: a pure power on
-        # a variable no mixed row raises is a factor of every component,
-        # field k of the offset top - e_k on its support
-        s = support[m]
-        mixed, pure = (s, 0) if s & (s - 1) else (0, s)
+    def child(rows, new):
+        # adjoin the rows of new, none of which a row of rows divides, and
+        # drop their multiples; the same pass ORs the supports of the
+        # mixed and of the pure rows for the peel: a pure power on a
+        # variable no mixed row raises is a factor of every component,
+        # field k of the offset top - e_k on its support.  The rows before
+        # the peel are the next child's base
+        mixed = pure = 0
+        for m in new:
+            s = support[m]
+            if s & (s - 1):
+                mixed |= s
+            else:
+                pure |= s
         kept = []
         for r in rows:
-            if ((r | guards) - m) & guards != guards:
+            rg = r | guards
+            for m in new:
+                if (rg - m) & guards == guards:
+                    break
+            else:
                 kept.append(r)
                 s = support[r]
                 if s & (s - 1):
                     mixed |= s
                 else:
                     pure |= s
-        kept.insert(bisect.bisect(kept, m), m)
+        if new:
+            kept += new
+            kept.sort()
         lone = pure & ~mixed
         if not lone:
-            return tuple(kept), 0
+            return kept, tuple(kept), 0
         rest = tuple(r for r in kept if support[r] & mixed)
-        return rest, codec.top * lone - ((sum(kept) - sum(rest)) & fields)
+        return kept, rest, codec.top * lone - ((sum(kept) - sum(rest)) & fields)
 
     def star(rows, masks):
         # the closed form of a star node, or None: every mixed row is
@@ -347,21 +378,73 @@ def split_decompose(
         comps.append(running + (top * hub - cap if cap else 0))
         return tuple(comps)
 
+    def levels(rows, masks):
+        # the children J_a of the variable split, bottom level first, as
+        # (rows, peel, lift) triples: the peeled rows, their peeled
+        # offset, and x_c^a's field top - a (0 at the level inf).  The
+        # count of mixed rows that raise each variable is kept in binary:
+        # plane k holds bit k of every count, and adding a row ripples
+        # its support up the planes as a carry
+        planes, raised = [0] * len(masks).bit_length(), 0
+        for s in masks:
+            if s & (s - 1):
+                raised |= s
+                k = 0
+                while s:
+                    p = planes[k]
+                    planes[k] = p ^ s
+                    s &= p
+                    k += 1
+        # the highest count left in raised, plane by plane from the top
+        for p in reversed(planes):
+            if raised & p:
+                raised &= p
+        # the first mixed row that raises such a variable, and of those
+        # it raises the lowest one, in the highest field
+        hit = next(s & raised for s in masks if s & raised and s & (s - 1))
+        shift = hit.bit_length() - 1
+        bit = 1 << shift
+        base, cofactors, cap = [], {}, 0
+        for r, s in zip(rows, masks):
+            if not s & bit:
+                base.append(r)
+            elif s == bit:
+                cap = r & fields
+            else:
+                a = (r >> shift) & field
+                m = r - (a << shift) - a * degree_unit
+                support[m] = s - bit
+                level = cofactors.get(a)
+                if level is None:
+                    cofactors[a] = [m]
+                else:
+                    level.append(m)
+        top = codec.top << shift
+        children, new = [], ()
+        for a in sorted(cofactors):
+            base, c, peel = child(base, new)
+            children.append((c, peel, top - (a << shift)))
+            new = cofactors[a]
+        _, c, peel = child(base, new)
+        children.append((c, peel, top - cap if cap else 0))
+        return children
+
     def over_cap():
         return DecompositionLimitError(
             f"decomposition exceeded {max_components} components"
         )
 
-    # the least row adjoined to the others drops none of them: a peel
-    top_rows, offset = child(top_rows[1:], top_rows[0]) if top_rows else ((), 0)
+    # adjoining every row to none drops none of them: a peel
+    _, top_rows, offset = child((), top_rows)
     memo: dict[tuple, tuple] = {(): (0,)}
     # a frame is (rows, None, None) until expanded, then (rows, children,
-    # the pivot's (u, v) or None), each child a (rows, offset) pair; every
-    # child pushed above a frame is done by the time the frame is back on
-    # top.  Peeled rows hold a mixed row unless they are empty.
+    # split): a product's children are rows, a variable split's are
+    # level triples, bottom level first; every child pushed above a frame
+    # is done by the time the frame is back on top.  Peeled rows hold a
+    # mixed row unless they are empty.
     stack = [(top_rows, None, None)]
     while stack:
-        rows, children, factors = stack[-1]
+        rows, children, split = stack[-1]
         if rows in memo:
             stack.pop()
             continue
@@ -378,39 +461,39 @@ def split_decompose(
             parts = _independent_parts(masks)
             if len(parts) > 1:
                 children = [
-                    (tuple(r for r, m in zip(rows, masks) if m & part), 0)
-                    for part in parts
+                    tuple(r for r, m in zip(rows, masks) if m & part) for part in parts
                 ]
-                stack[-1] = (rows, children, None)
+                stack[-1] = (rows, children, False)
+                stack.extend((c, None, None) for c in children if c not in memo)
             else:
-                pivot, s = next((r, m) for r, m in zip(rows, masks) if m & (m - 1))
-                # u = x_i^e on the pivot's highest field, the lowest
-                # variable; its degree e goes above the fields
-                unit = 1 << (s.bit_length() - 1)
-                u = pivot & (field * unit)
-                u += u // unit * degree_unit
-                v = pivot - u
-                support[u] = unit
-                support[v] = s - unit
-                children = [child(rows, u), child(rows, v)]
-                stack[-1] = (rows, children, (u, v))
-            stack.extend((c, None, None) for c, _ in children if c not in memo)
+                children = levels(rows, masks)
+                stack[-1] = (rows, children, True)
+                stack.extend((c, None, None) for c, _, _ in children if c not in memo)
             continue
-        if factors is None:
+        if split:
+            # top level down: x_c^a + P stays unless P is a component of
+            # the level above too, there p + peel - (that level's peel)
+            comps, above = [], None
+            for c, peel, lift in reversed(children):
+                sub = memo[c]
+                lift += peel
+                if above is None:
+                    comps += [p + lift for p in sub]
+                else:
+                    above, delta = set(above), peel - above_peel
+                    comps += [p + lift for p in sub if p + delta not in above]
+                if len(comps) > max_components:
+                    raise over_cap()
+                above, above_peel = sub, peel
+            comps = tuple(comps)
+        else:
             comps = (0,)
-            for c, _ in children:
+            for c in children:
                 sub = memo[c]
                 if len(comps) * len(sub) > max_components:
                     raise over_cap()
                 # disjoint variables: adding packed fields merges them
                 comps = tuple(a + b for a in comps for b in sub)
-        else:
-            left, right = (
-                [p + off for p in memo[c]] if off else memo[c] for c, off in children
-            )
-            comps = _split_prune(left, right, *factors, codec)
-            if len(comps) > max_components:
-                raise over_cap()
         memo[rows] = comps
         stack.pop()
 
@@ -516,37 +599,6 @@ class _PowersCodec:
                     pairs = chunks[chunk] = tuple(pairs)
                 powers += pairs
         return powers
-
-
-def _split_prune(left, right, u, v, codec):
-    """Minimal components of a split f = u*v, u a pure power, u and v coprime.
-
-    ``left`` and ``right`` are the packed irredundant decompositions of
-    I + (u) and I + (v), and u and v packed monomials.  A right component
-    that contains u contains I + (u), so it lies above a left one (or is
-    one) and goes, with one field test.  A left component that does not
-    contain v contains no right one, so it stays.  Only the left
-    components that contain v are compared, and only against the right
-    components that stayed; those never lie above a left one, as they do
-    not contain u.  A component contains a packed monomial m when some
-    field on m's support is at least M minus m's exponent there, one
-    guarded subtraction.
-    """
-    guards, bits = codec.guards, codec.bits
-    low = (1 << codec.fields_bits) - 1
-    u, v = u & low, v & low
-    su, sv = codec.support(u), codec.support(v)
-    tu, gu = codec.top * su - u, su << bits
-    tv, gv = codec.top * sv - v, sv << bits
-    kept_right = [b for b in right if not ((b | guards) - tu) & gu]
-    kept = []
-    for a in left:
-        ag = a | guards
-        if (ag - tv) & gv and any((ag - b) & guards == guards for b in kept_right):
-            continue
-        kept.append(a)
-    kept += kept_right
-    return tuple(kept)
 
 
 def is_m_unmixed_ideal(ideal: MonomialIdeal) -> bool:

@@ -505,23 +505,26 @@ def seeded_star_ideal(rng, leaves, hub_exponents=(1, 2, 3, 10**20)):
     return MonomialIdeal(VariableContext.of_dimension(d), rows), hub
 
 
+@pytest.fixture
+def splits(monkeypatch):
+    """The split route's nodes that are not stars: each looks for an
+    independence split before a variable split, so a star at the top
+    node, which decomposes with no split, leaves this list empty."""
+    calls = []
+    independent_parts = decompose._independent_parts
+
+    def counted(masks):
+        calls.append(masks)
+        return independent_parts(masks)
+
+    monkeypatch.setattr(decompose, "_independent_parts", counted)
+    return calls
+
+
 class TestStarNodes:
     """A node whose mixed rows all run through one hub c to distinct leaves
     y_k decomposes in closed form: one component per distinct hub
     exponent, and one more without c's mixed rows."""
-
-    @pytest.fixture
-    def prunes(self, monkeypatch):
-        # the split count: a star at the top node decomposes with none
-        calls = []
-        split_prune = decompose._split_prune
-
-        def counted(*args):
-            calls.append(args)
-            return split_prune(*args)
-
-        monkeypatch.setattr(decompose, "_split_prune", counted)
-        return calls
 
     @staticmethod
     def assert_decomposes(I):
@@ -532,7 +535,7 @@ class TestStarNodes:
             assert not a.contains(b)
         return D
 
-    def test_seeded_stars_take_the_closed_form(self, prunes):
+    def test_seeded_stars_take_the_closed_form(self, splits):
         rng = random.Random(2601)
         seen = {"single": 0, "repeated hub": 0, "pure hub": 0, "pure leaf": 0}
         for _ in range(300):
@@ -549,9 +552,9 @@ class TestStarNodes:
             # a lone pure power is a fixed factor; it adds no component
             assert len(D) == len(set(hub_exponents)) + 1
         assert min(seen.values()) > 20, seen
-        assert prunes == []
+        assert splits == []
 
-    def test_non_stars_fall_back_to_splitting(self, prunes):
+    def test_non_stars_fall_back_to_splitting(self, splits):
         rng = random.Random(2602)
         for extra in ("two mixed rows on one leaf", "three variables through the hub"):
             for _ in range(100):
@@ -564,9 +567,9 @@ class TestStarNodes:
                 else:
                     rows.append(power_row(d, {hub: 1, y: 1, z: 2}))
                 J = MonomialIdeal(VariableContext.of_dimension(d), rows)
-                before = len(prunes)
+                before = len(splits)
                 self.assert_decomposes(J)
-                assert len(prunes) > before, (extra, J.rows)
+                assert len(splits) > before, (extra, J.rows)
 
     def test_cap_counts_the_star_components(self):
         # m distinct hub exponents: m + 1 components
@@ -652,16 +655,53 @@ class TestRouteAgreement:
         assert len(D) == 4
         assert D.components == cover_decomposition(g).components
 
+    @pytest.mark.parametrize(
+        "extra, vertices",
+        [
+            # an edge between two leaves, and a pendant on a leaf: the hub
+            # is raised by the most rows, so one split at it leaves stars
+            ([Edge(1, 2, 3)], 801),
+            ([Edge(1, 801, 2)], 802),
+        ],
+        ids=["leaf edge", "pendant"],
+    )
+    def test_large_star_plus_one_edge(self, extra, vertices, splits):
+        n = 800
+        star = [Edge(0, i + 1, 1 + i % 3) for i in range(n)]
+        g = weighted_graph(vertices, star + extra)
+        D = split_decompose(weighted_edge_ideal(g))
+        assert len(splits) == 1
+        assert len(D) == 5
+        assert D.components == cover_decomposition(g).components
+
+    def test_complete_bipartite_two_hubs(self, splits):
+        # K_{2,n}: a split at one hub leaves the other hub's star
+        n = 600
+        edges = [Edge(h, 2 + k, 1 + k % 3) for k in range(n) for h in (0, 1)]
+        g = weighted_graph(n + 2, edges)
+        D = split_decompose(weighted_edge_ideal(g))
+        assert len(splits) == 1
+        assert len(D) == 4
+        assert D.components == cover_decomposition(g).components
+
     def test_split_deeper_than_the_recursion_limit(self):
-        # (x, y)^n: every split adjoins x^k, a dead end, and y^(n-k), which
-        # leaves the staircase one row shorter, so the splits nest n - 2
-        # deep; only the last node, with one mixed row, is a star
+        # (x, y)^n: one variable split on x with n levels, each child a
+        # pure power of y, peeled to the zero ideal
         n = 1100
         X = VariableContext.of_dimension(2)
         D = split_decompose(ideal(X, *((k, n - k) for k in range(n + 1))))
         assert D.components == tuple(
             comp(X, {0: k, 1: n + 1 - k}) for k in range(1, n + 1)
         )
+
+    def test_principal_ideal_deeper_than_the_recursion_limit(self):
+        # x_1 * ... * x_n: each split on a variable x_i has the levels 1
+        # and inf, and the level inf is the product of the other
+        # variables, so the splits nest one per variable down to a star
+        n = 1500
+        X = VariableContext.of_dimension(n)
+        D = split_decompose(ideal(X, (1,) * n))
+        assert D.components == tuple(comp(X, {i: 1}) for i in range(n))
 
     def test_star_ideal_builds_faster_than_it_splits(self):
         # edges of a star never divide each other; the support-filtered
@@ -742,6 +782,24 @@ class TestIntersection:
             seen["huge"] += any(e > 10**20 for c in comps for _, e in c.powers)
             assert D.intersection().rows == tuple_fold(D).rows, comps
         assert min(seen.values()) > 0, seen
+
+    def test_fold_order_does_not_matter(self):
+        # the fold reads the components in the order they are stored;
+        # _of_sorted stores any order it is given
+        rng = random.Random(2701)
+        for _ in range(200):
+            D = seeded_component_list(rng)
+            comps = D.components
+            rows = D.intersection().rows
+            for order in (comps[::-1], tuple(rng.sample(comps, len(comps)))):
+                folded = Decomposition._of_sorted(D.context, order).intersection()
+                assert folded.rows == rows, order
+        for g in itertools.islice(exhaustive_weighted_graphs(4, (1, 2, 3)), 0, None, 7):
+            D = cover_decomposition(g)
+            comps = D.components
+            for order in (comps, comps[::-1], tuple(rng.sample(comps, len(comps)))):
+                folded = Decomposition._of_sorted(D.context, order).intersection()
+                assert folded.rows == weighted_edge_ideal(g).rows
 
     def test_empty_list_is_the_unit_ideal(self):
         for d in range(1, 8):

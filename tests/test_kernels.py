@@ -9,11 +9,7 @@ import random
 import pytest
 
 from graphideals import kernels
-from graphideals.decompose import (
-    _PowersCodec,
-    _split_prune,
-    split_decompose,
-)
+from graphideals.decompose import _PowersCodec, split_decompose
 from graphideals.graphs import cover_decomposition, weighted_edge_ideal
 from graphideals.monomials import (
     Monomial,
@@ -408,39 +404,73 @@ def pack(codec, powers):
     return sum((codec.top - e) << codec.shifts[i] for i, e in powers)
 
 
-def split_sides(ideal, f, i):
-    """Packed decompositions of I + (u) and I + (v), f = u*v, u = x_i^f_i."""
-    u = tuple(e if k == i else 0 for k, e in enumerate(f))
-    v = tuple(0 if k == i else e for k, e in enumerate(f))
-    codec = _PowersCodec(len(f), max(e for r in ideal.rows for e in r))
-    sides = []
-    for m in (u, v):
-        D = split_decompose(MonomialIdeal(ideal.context, ideal.rows + (m,)))
-        sides.append([c.powers for c in D.components])
-    return codec, codec.pack_row(u), codec.pack_row(v), sides
+def level_children(ideal, c):
+    """The variable split of ``ideal`` on variable c, on dense rows.
+
+    (a, J_a) pairs, bottom level first: a runs over the distinct c
+    exponents of the mixed rows x_c^a_k * m_k, then the top level, the
+    cap p if x_c^p is a row and None (inf) otherwise, and
+    J_a = (rows without c) + (m_k : a_k < a).
+    """
+    def cofactor(r):
+        return r[:c] + (0,) + r[c + 1 :]
+
+    without = [r for r in ideal.rows if not r[c]]
+    mixed = [r for r in ideal.rows if r[c] and any(cofactor(r))]
+    cap = next((r[c] for r in ideal.rows if r[c] and not any(cofactor(r))), None)
+    return [
+        (
+            a,
+            MonomialIdeal(
+                ideal.context,
+                without + [cofactor(r) for r in mixed if a is None or r[c] < a],
+            ),
+        )
+        for a in sorted({r[c] for r in mixed}) + [cap]
+    ]
+
+
+def lift(powers, c, a):
+    """x_c^a + P as a powers tuple; P itself at the level inf (a None)."""
+    return powers if a is None else tuple(sorted(powers + ((c, a),)))
 
 
 class TestCrossPrune:
-    """The split route's order-aware pruning of the two sides of a split
-    f = u*v, on real split pairs, against the pruning oracle."""
+    """The split route's pruning across the levels of a variable split:
+    each level's child decomposed on its own and lifted by x_c^a, then
+    x_c^a + P dropped exactly when P is a component of the next level's
+    child too, against the pruning oracle on the union of the levels."""
 
     @staticmethod
-    def split_prune(ideal, f, i):
-        codec, u, v, (left, right) = split_sides(ideal, f, i)
-        packed = _split_prune(
-            [pack(codec, p) for p in left], [pack(codec, p) for p in right], u, v, codec
-        )
-        assert len(set(packed)) == len(packed)
-        got = tuple(sorted(codec.unpack(x) for x in packed))
-        assert got == prune_powers(left + right)
-        return left, right, got
+    def level_combine(ideal, c):
+        levels = [
+            (a, [comp.powers for comp in split_decompose(J).components])
+            for a, J in level_children(ideal, c)
+        ]
+        kept = []
+        for k, (a, comps) in enumerate(levels):
+            above = set(levels[k + 1][1]) if k + 1 < len(levels) else set()
+            # a component of any higher level's child is one of the next's
+            higher = set().union(*(comps for _, comps in levels[k + 1 :]))
+            for powers in comps:
+                assert (powers in above) == (powers in higher)
+                if powers not in above:
+                    kept.append(lift(powers, c, a))
+        assert len(set(kept)) == len(kept)
+        got = tuple(sorted(kept))
+        union = [lift(powers, c, a) for a, comps in levels for powers in comps]
+        assert got == prune_powers(union)
+        assert got == tuple(comp.powers for comp in split_decompose(ideal).components)
+        return levels, got
 
     @classmethod
-    def check_every_pivot(cls, ideal):
-        for f in ideal.rows:
-            support = [i for i, e in enumerate(f) if e]
-            for i in support if len(support) > 1 else ():
-                cls.split_prune(ideal, f, i)
+    def check_every_variable(cls, ideal):
+        """The levels of every variable split of ``ideal``."""
+        return [
+            cls.level_combine(ideal, c)[0]
+            for c in range(ideal.context.dimension)
+            if any(r[c] for r in ideal.rows)
+        ]
 
     def test_round_trip(self):
         codec = _PowersCodec(4, 10**20)
@@ -486,30 +516,31 @@ class TestCrossPrune:
             assert codec.unpack(0) == ()
 
     def test_component_on_both_sides_kept_once(self):
-        # the triangle split at its first generator X2*X3, u = X2, v = X3
-        # both sides hold (X2, X3)
-        triangle = MonomialIdeal(X3, [(0, 1, 1), (1, 0, 1), (1, 1, 0)])
-        left, right, got = self.split_prune(triangle, (0, 1, 1), 1)
-        assert set(left) & set(right) == {((1, 1), (2, 1))}
-        assert got == (((0, 1), (1, 1)), ((0, 1), (2, 1)), ((1, 1), (2, 1)))
+        # (X1*X2, X2*X3) split on X1: J_1 = (X2*X3) and J_inf = (X2)
+        # both hold (X2), which stays once, at the level inf
+        ctx = VariableContext.of_dimension(3)
+        levels, got = self.level_combine(MonomialIdeal(ctx, [(1, 1, 0), (0, 1, 1)]), 0)
+        assert levels == [(1, [((1, 1),), ((2, 1),)]), (None, [((1, 1),)])]
+        assert got == (((0, 1), (2, 1)), ((1, 1),))
 
     def test_zero_fields(self):
-        # X1 and X5 appear in no generator, so every component leaves
-        # their fields 0
+        # X1 and X5 appear in no generator: no split is on them, and no
+        # component holds them
         ctx = VariableContext.of_dimension(5)
-        self.check_every_pivot(
+        self.check_every_variable(
             MonomialIdeal(ctx, [(0, 2, 1, 0, 0), (0, 0, 3, 1, 0), (0, 1, 0, 2, 0)])
         )
 
     def test_huge_exponents(self):
         big = 10**20
         ideal = MonomialIdeal(X3, [(big, 1, 0), (0, big + 1, big), (1, 0, big)])
-        self.check_every_pivot(ideal)
+        self.check_every_variable(ideal)
 
     def test_matches_all_pairs_sweep(self):
-        # every mixed generator, split at every variable, not only the
-        # route's own pivot
+        # every variable, not only the route's own choice; some splits
+        # have a cap, and some share a component between two levels
         rng = random.Random(20261018)
+        caps = shared = 0
         for trial in range(150):
             dim = rng.randint(2, 6)
             ctx = VariableContext.of_dimension(dim)
@@ -518,8 +549,12 @@ class TestCrossPrune:
             if rng.random() < 0.2:
                 rows = [tuple(10**20 if e == hi else e for e in r) for r in rows]
             ideal = MonomialIdeal(ctx, rows)
-            if not ideal.is_unit:
-                self.check_every_pivot(ideal)
+            for levels in self.check_every_variable(ideal) if not ideal.is_unit else ():
+                caps += levels[-1][0] is not None
+                shared += any(
+                    set(low) & set(high) for (_, low), (_, high) in zip(levels, levels[1:])
+                )
+        assert caps > 20 and shared > 20, (caps, shared)
 
 
 class TestSelector:
