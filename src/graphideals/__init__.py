@@ -3,7 +3,7 @@
 Monomial ideal arithmetic, irredundant m-irreducible decompositions by
 two independent routes (minimal weighted vertex covers and generator
 splitting), and unmixedness / Cohen-Macaulayness classification for
-cycles, complete graphs, suspensions, trees and paths.
+cycles, complete graphs, suspensions and trees (paths among them).
 """
 
 __version__ = "0.1.0"
@@ -63,7 +63,6 @@ from .classify import (
     classify_auto,
     classify_complete,
     classify_cycle,
-    classify_path,
     classify_suspension,
     classify_tree,
     cycle_weight_sequence,

@@ -13,13 +13,13 @@ criterion for its family:
   equivalently unmixed, exactly when each base edge weighs no more than
   both of its endpoints' whisker edges.
 * trees: CM with at most two vertices, otherwise exactly when the tree is
-  a suspension satisfying the weight condition above.
-* paths: CM only at length 1, or length 3 with the middle edge weighing
-  no more than both outer edges.
+  a suspension satisfying the weight condition above.  So a path is CM
+  exactly at one edge, or at three edges with the middle edge no heavier
+  than both ends.
 
 :data:`FAMILIES` maps each family name to its classifier, a function
 of the graph alone that raises :class:`FamilyMismatchError` outside the
-family.  The table is ordered complete, cycle, path, tree, suspension;
+family.  The table is ordered complete, cycle, tree, suspension;
 :func:`classify_auto` tries the entries in that order and falls back to
 exhaustive cover enumeration with an unknown CM status.
 """
@@ -330,71 +330,6 @@ def classify_tree(graph: WeightedGraph) -> Verdict:
     )
 
 
-def _trail_weights(graph: WeightedGraph, start: int, step: int) -> tuple[int, ...]:
-    """Edge weights along the trail that leaves ``start`` for ``step`` and
-    goes on through vertices of degree at most 2, until it reaches a leaf
-    or returns to ``start``."""
-    adjacency = graph.adjacency
-    seq = [adjacency[start][step]]
-    prev, cur = start, step
-    while cur != start:
-        nxt = [x for x in adjacency[cur] if x != prev]
-        if not nxt:
-            break
-        prev, cur = cur, nxt[0]
-        seq.append(adjacency[prev][cur])
-    return tuple(seq)
-
-
-def _path_weight_sequence(graph: WeightedGraph):
-    """Edge weights from the lower-indexed end of a path; None otherwise."""
-    d = graph.vertex_count
-    if d < 2 or len(graph.edges) != d - 1 or not graph.is_connected():
-        return None
-    adjacency = graph.adjacency
-    if any(len(around) > 2 for around in adjacency):
-        return None
-    start = next(v for v, around in enumerate(adjacency) if len(around) == 1)
-    return _trail_weights(graph, start, next(iter(adjacency[start])))
-
-
-def classify_path(graph: WeightedGraph) -> Verdict:
-    """Verdict for a weighted path.
-
-    Cohen-Macaulay, equivalently unmixed, only for a single edge or for a
-    three-edge path whose middle weight is at most both outer weights.
-    """
-    seq = _path_weight_sequence(graph)
-    if seq is None:
-        raise FamilyMismatchError("not a path")
-    length = len(seq)
-    if length == 1:
-        return Verdict(
-            "path",
-            True,
-            CM_YES,
-            {"length": 1, "weights": list(seq)},
-            "a single weighted edge is Cohen-Macaulay",
-        )
-    if length == 3 and seq[1] <= seq[0] and seq[1] <= seq[2]:
-        return Verdict(
-            "path",
-            True,
-            CM_YES,
-            {"length": 3, "weights": list(seq)},
-            "a three-edge path with its middle weight at most both outer"
-            " weights is Cohen-Macaulay",
-        )
-    return Verdict(
-        "path",
-        False,
-        CM_NO,
-        {"length": length, "weights": list(seq)},
-        "paths are Cohen-Macaulay only at length 1, or length 3 with the"
-        " middle edge weighing no more than both outer edges",
-    )
-
-
 def cycle_weight_sequence(graph: WeightedGraph):
     """Edge weights around a cycle from vertex 0 towards its lower-indexed
     neighbour; None when the graph is not a cycle."""
@@ -404,13 +339,17 @@ def cycle_weight_sequence(graph: WeightedGraph):
     adjacency = graph.adjacency
     if any(len(around) != 2 for around in adjacency):
         return None
-    return _trail_weights(graph, 0, min(adjacency[0]))
+    prev, cur = 0, min(adjacency[0])
+    seq = [adjacency[0][cur]]
+    while cur != 0:
+        prev, cur = cur, next(x for x in adjacency[cur] if x != prev)
+        seq.append(adjacency[prev][cur])
+    return tuple(seq)
 
 
 FAMILIES = {
     "complete": classify_complete,
     "cycle": classify_cycle,
-    "path": classify_path,
     "tree": classify_tree,
     "suspension": classify_suspension,
 }

@@ -437,7 +437,7 @@ def _maximal_thresholds(adjacency, max_components: int) -> list[tuple]:
     full = (1 << len(entry)) - 1
     found = []
     for chosen in _maximal_independent_sets(closed):
-        if len(found) == max_components:
+        if len(found) >= max_components:
             raise DecompositionLimitError(
                 f"cover enumeration exceeded {max_components} components"
             )

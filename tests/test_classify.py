@@ -24,7 +24,6 @@ from graphideals.classify import (
     classify_auto,
     classify_complete,
     classify_cycle,
-    classify_path,
     classify_suspension,
     classify_tree,
     cycle_weight_sequence,
@@ -451,34 +450,47 @@ class TestTreeVerdicts:
 
 
 class TestPathVerdicts:
+    """Paths are trees: ``classify_tree`` decides them."""
+
     def test_length_one(self):
-        v = classify_path(path_graph([9]))
+        v = classify_tree(path_graph([9]))
         assert v.unmixed and v.cohen_macaulay == CM_YES
 
     def test_length_three_light_middle(self):
-        v = classify_path(path_graph([3, 1, 2]))
+        v = classify_tree(path_graph([3, 1, 2]))
         assert v.unmixed and v.cohen_macaulay == CM_YES
 
     def test_length_three_heavy_middle(self):
-        v = classify_path(path_graph([1, 2, 1]))
+        v = classify_tree(path_graph([1, 2, 1]))
         assert not v.unmixed and v.cohen_macaulay == CM_NO
 
     def test_length_four_trivial(self):
-        v = classify_path(path_graph([1, 1, 1, 1]))
+        v = classify_tree(path_graph([1, 1, 1, 1]))
         assert not v.unmixed and v.cohen_macaulay == CM_NO
 
     def test_length_two(self):
-        assert not classify_path(path_graph([2, 2])).unmixed
+        assert not classify_tree(path_graph([2, 2])).unmixed
 
     def test_rejects_cycle(self):
         with pytest.raises(FamilyMismatchError):
-            classify_path(cycle_graph([1, 1, 1]))
+            classify_tree(cycle_graph([1, 1, 1]))
 
     def test_exhaustive_against_enumeration(self):
-        for length in range(1, 6):
+        # 3 + 9 + ... + 3^7 = 3279 paths
+        checked = 0
+        for length in range(1, 8):
             for w in itertools.product((1, 2, 3), repeat=length):
-                verdict = classify_path(path_graph(list(w)))
-                assert verdict.unmixed == is_unmixed(path_graph(list(w))).unmixed
+                g = path_graph(list(w))
+                unmixed = is_unmixed(g).unmixed
+                # the rule for paths read off the tree rule: CM exactly
+                # at one edge, or at three edges with a light middle
+                cm = length == 1 or (length == 3 and w[1] <= min(w[0], w[2]))
+                expected = (unmixed, CM_YES if unmixed else CM_NO)
+                assert unmixed == cm, w
+                for verdict in (classify_auto(g), classify_tree(g)):
+                    assert (verdict.unmixed, verdict.cohen_macaulay) == expected, w
+                checked += 1
+        assert checked == 3279
 
 
 class TestAuto:
@@ -490,8 +502,8 @@ class TestAuto:
     def test_square_routes_to_cycle(self):
         assert classify_auto(cycle_graph([1, 1, 1, 1])).family == "cycle"
 
-    def test_path_routes_to_path(self):
-        assert classify_auto(path_graph([1, 1])).family == "path"
+    def test_path_routes_to_tree(self):
+        assert classify_auto(path_graph([1, 1])).family == "tree"
 
     def test_star_routes_to_tree(self):
         g = WeightedGraph(
@@ -532,8 +544,8 @@ class TestAuto:
         return calls
 
     def test_path_recognized_once(self, monkeypatch):
-        calls = self.count_calls(monkeypatch, "_path_weight_sequence")
-        assert classify_auto(path_graph([1, 2, 3])).family == "path"
+        calls = self.count_calls(monkeypatch, "_is_tree")
+        assert classify_auto(path_graph([1, 2, 3])).family == "tree"
         assert len(calls) == 1
 
     def test_suspension_split_once(self, monkeypatch):
@@ -544,7 +556,7 @@ class TestAuto:
 
     def test_tree_recognized_once(self, monkeypatch):
         calls = self.count_calls(monkeypatch, "_is_tree")
-        # a star with five leaves: neither a path nor a suspension
+        # a star with five leaves: not a suspension
         g = WeightedGraph(tuple("habcde"), tuple((0, v, v) for v in range(1, 6)))
         v = classify_auto(g)
         assert (v.family, v.certificate) == (
@@ -558,7 +570,6 @@ class TestAuto:
         assert list(FAMILIES.items()) == [
             ("complete", classify_complete),
             ("cycle", classify_cycle),
-            ("path", classify_path),
             ("tree", classify_tree),
             ("suspension", classify_suspension),
         ]

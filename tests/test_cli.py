@@ -459,7 +459,7 @@ class TestClassifyCommand:
                     assert report.payload["family"] == family
                 else:
                     assert report.payload["error_kind"] == "validation"
-        assert seen == {"complete", "path", "tree", "generic"}
+        assert seen == {"complete", "tree", "generic"}
 
 
 class TestPrimesCommand:

@@ -17,6 +17,7 @@ import sys
 
 from hypothesis import example, given, settings, strategies as st
 
+from graphideals import classify
 from graphideals.cli import main
 
 COMMANDS = (
@@ -74,7 +75,8 @@ cover_texts = st.lists(
     st.tuples(st.sampled_from(NAMES) | short_text, st.integers(-1, 5) | short_text),
     max_size=3,
 ).map(lambda pairs: ",".join(f"{name}:{weight}" for name, weight in pairs))
-FAMILIES = ("auto", "cycle", "complete", "path", "tree", "suspension")
+# "path" names no family: it keeps the usage-error branch fuzzed
+FAMILIES = ("auto", *classify.FAMILIES, "path")
 
 
 @st.composite

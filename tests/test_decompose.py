@@ -18,6 +18,7 @@ from graphideals.graphs import (
     Edge,
     WeightedGraph,
     cover_decomposition,
+    cycle_graph,
     edge_ideal,
     weighted_edge_ideal,
 )
@@ -637,6 +638,21 @@ class TestRouteAgreement:
         powers = [c.powers for c in D.components]
         assert all(a < b for a, b in zip(powers, powers[1:]))
         assert D.components == cover_decomposition(g).components
+
+    @pytest.mark.parametrize("cap", [-1, 0, 1, 2.5, 13, 14, 10**6])
+    def test_routes_refuse_on_the_same_caps(self, cap):
+        # 14 components: every cap below 14, whole or not, refuses
+        g = cycle_graph([1, 2, 1, 2, 1, 2])
+        routes = (
+            lambda: split_decompose(weighted_edge_ideal(g), cap),
+            lambda: cover_decomposition(g, cap),
+        )
+        if cap < 14:
+            for route in routes:
+                with pytest.raises(DecompositionLimitError):
+                    route()
+        else:
+            assert [len(route()) for route in routes] == [14, 14]
 
     def test_star_deeper_than_the_recursion_limit(self):
         # one level per leaf: 497 leaves is the smallest star of this
