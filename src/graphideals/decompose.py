@@ -29,7 +29,7 @@ ISSAC 1998) and equal components are equal ints.
 from __future__ import annotations
 
 from ._records import FrozenRecord
-from .kernels import powers_leq
+from .kernels import powers_leq, support_mask
 from .monomials import MonomialIdeal, VariableContext, _same_context
 
 DEFAULT_COMPONENT_CAP = 100_000
@@ -111,14 +111,15 @@ class IrreducibleComponent(FrozenRecord):
         return dict(self.powers)
 
     def ideal(self) -> MonomialIdeal:
-        # pure powers of distinct variables: an antichain as they stand
+        # pure powers of distinct variables: an antichain as they stand, in
+        # graded-lex order by ascending exponent, then falling index
         d = self.context.dimension
-        rows = []
-        for i, e in self.powers:
+        masked = []
+        for i, e in sorted(self.powers, key=lambda p: (p[1], -p[0])):
             row = [0] * d
             row[i] = e
-            rows.append(tuple(row))
-        return MonomialIdeal._of_antichain(self.context, rows)
+            masked.append((1 << i, tuple(row)))
+        return MonomialIdeal._of_masked(self.context, masked)
 
     def contains(self, other: "IrreducibleComponent") -> bool:
         """other's ideal is contained in this one.
@@ -174,7 +175,8 @@ class Decomposition(FrozenRecord):
         about a third of the time.  Rows are
         packed as in :func:`split_decompose` (:class:`_PowersCodec`, the
         degree above the exponent fields), so the ints sort in graded-lex
-        order.  Against a component P = (x_i^e_i : i in V'), a row r with
+        order, the order the ideal stores its rows in.  Against a
+        component P = (x_i^e_i : i in V'), a row r with
         some exponent r_i >= e_i on V' lies in P and passes alone: every
         other lcm it makes is a multiple of it.  Any other row r gives
         lcm(r, x_i^e_i) for each i in V', one addition of e_i - r_i to
@@ -213,8 +215,9 @@ class Decomposition(FrozenRecord):
                         break
                 else:
                     rows.append(m)
-        return MonomialIdeal._of_antichain(
-            context, [codec.unpack_row(r) for r in rows]
+        unpacked = [codec.unpack_row(r) for r in rows]
+        return MonomialIdeal._of_masked(
+            context, zip(map(support_mask, unpacked), unpacked)
         )
 
     def support_sizes(self) -> tuple[int, ...]:
@@ -232,7 +235,9 @@ def split_decompose(
     Works on the ideal's canonical generator rows alone, each packed into
     one int by :class:`_PowersCodec` with its degree above the exponent
     fields, so the ints sort in graded-lex order; every subproblem is
-    memoized on its sorted tuple of packed rows.  Before a subproblem is
+    memoized on its sorted tuple of packed rows.  The rows enter packed
+    from their support masks (:func:`_pack_masked`), so the entry costs
+    O(support) per generator, not O(dimension).  Before a subproblem is
     looked up, its lone pure powers x_i^e (no mixed row raises x_i) are
     peeled off: each is a fixed factor of every component, so the fields
     of them all form one packed offset that the parent adds to each of the
@@ -295,13 +300,10 @@ def split_decompose(
     if ideal.is_unit:
         raise ValueError("unit ideal has no irreducible decomposition")
     context = ideal.context
-    codec = _PowersCodec(
-        context.dimension, max((e for r in ideal.rows for e in r), default=0)
-    )
+    codec, support = _pack_masked(context.dimension, ideal._masked_rows)
     guards, field, degree_unit = codec.guards, codec.field, 1 << codec.fields_bits
     fields = degree_unit - 1
-    top_rows = tuple(codec.pack_row(r) for r in ideal.rows)
-    support = {m: codec.support(m) for m in top_rows}
+    top_rows = tuple(support)
 
     def child(rows, new):
         # adjoin the rows of new, none of which a row of rows divides, and
@@ -507,6 +509,39 @@ def split_decompose(
     return Decomposition._of_sorted(context, components)
 
 
+def _pack_masked(dimension, masked_rows):
+    """The codec of (support mask, row) pairs, and a dict from each row,
+    packed with its degree above the fields, to its packed support (the
+    lowest bit of each nonzero field), in row order.
+
+    Only the exponents at each mask's set bits are read, once for the
+    largest exponent, which sizes the fields, and once to pack: O(support)
+    per row, whatever the dimension.
+    """
+    sparse = []
+    for mask, row in masked_rows:
+        powers = []
+        while mask:
+            i = mask.bit_length() - 1
+            mask ^= 1 << i
+            powers.append((i, row[i]))
+        sparse.append(powers)
+    codec = _PowersCodec(
+        dimension, max((e for powers in sparse for _, e in powers), default=0)
+    )
+    shifts, degree_shift = codec.shifts, codec.fields_bits
+    packed = {}
+    for powers in sparse:
+        degree = fields = units = 0
+        for i, e in powers:
+            s = shifts[i]
+            degree += e
+            fields |= e << s
+            units |= 1 << s
+        packed[(degree << degree_shift) | fields] = units
+    return codec, packed
+
+
 def _independent_parts(masks):
     """Unions of the support masks that share no variable, one per part."""
     parts = []
@@ -526,17 +561,17 @@ class _PowersCodec:
     """Monomials and components packed into ints, one bit field per variable.
 
     Variable 0 takes the highest field, so packed monomials compare as
-    their exponent tuples do.  ``pack_row`` puts the degree above all the
-    fields, so packed rows compare as their (degree, exponents) keys:
-    graded-lex order.  Each field has a guard bit above it, so
-    ``((a | G) - b) & G == G`` holds exactly when every field of a is at
-    least b's: no field borrows from the next, and the degree above the
-    fields does not touch the bits below it.  For monomials that is b
-    divides a.  A component P(V', d') fills field i with M - d'(i) on V',
-    where M exceeds every exponent, and leaves the others 0; then the
-    same test on components is ``kernels.powers_leq(b, a)``, and fields on
-    disjoint variables add without carries.  ``support`` marks each
-    nonzero field by the lowest bit of the field.
+    their exponent tuples do.  A packed row (:func:`_pack_masked`) carries
+    its degree above all the fields, so packed rows compare as their
+    (degree, exponents) keys: graded-lex order.  Each field has a guard
+    bit above it, so ``((a | G) - b) & G == G`` holds exactly when every
+    field of a is at least b's: no field borrows from the next, and the
+    degree above the fields does not touch the bits below it.  For
+    monomials that is b divides a.  A component P(V', d') fills field i
+    with M - d'(i) on V', where M exceeds every exponent, and leaves the
+    others 0; then the same test on components is
+    ``kernels.powers_leq(b, a)``, and fields on disjoint variables add
+    without carries.
 
     Packed components sort descending in canonical ``powers`` order when
     no one of them contains another.  At the first variable where two
@@ -559,24 +594,15 @@ class _PowersCodec:
         self.field = (1 << self.bits) - 1
         self.shifts = tuple((dimension - 1 - k) * self.width for k in range(dimension))
         self.fields_bits = dimension * self.width
-        self.units = sum(1 << s for s in self.shifts)
-        self.guards = self.units << self.bits
+        self.guards = sum(1 << s for s in self.shifts) << self.bits
         step = self.chunk_bits = max(1, 24 // self.width) * self.width
         # chunks start at bit 0, so the one holding variable 0 may be short
         self.top_chunk = ((1 << step) - 1) << (self.fields_bits - 1) // step * step
         self.chunks = {}
 
-    def pack_row(self, row) -> int:
-        fields = sum(e << s for e, s in zip(row, self.shifts))
-        return (sum(row) << self.fields_bits) | fields
-
     def unpack_row(self, packed) -> tuple[int, ...]:
         field = self.field
         return tuple((packed >> s) & field for s in self.shifts)
-
-    def support(self, packed) -> int:
-        guards = self.guards
-        return (((packed | guards) - self.units) & guards) >> self.bits
 
     def unpack(self, packed) -> tuple[tuple[int, int], ...]:
         chunks, step, mask, powers = self.chunks, self.chunk_bits, self.top_chunk, ()

@@ -35,6 +35,7 @@ import itertools
 from collections import namedtuple
 from collections.abc import Iterable, Iterator, Mapping
 from functools import cached_property, lru_cache
+from operator import itemgetter
 
 from ._records import FrozenRecord
 from .decompose import (
@@ -248,14 +249,19 @@ def validate_graph(data) -> WeightedGraph:
 
 
 def _edge_rows_ideal(graph: WeightedGraph, weighted: bool) -> MonomialIdeal:
+    # a simple graph's edges have distinct two-vertex supports, so the rows
+    # are an antichain, each with its mask known.  A row has degree 2w, and
+    # among rows of one weight graded-lex order is descending (u, v): the
+    # stored edge order reversed, kept by a stable sort on the weight
     d = graph.vertex_count
     rows = []
-    for u, v, w in graph.edges:
+    for u, v, w in reversed(graph.edges):
+        e = w if weighted else 1
         vec = [0] * d
-        vec[u] = vec[v] = w if weighted else 1
-        rows.append(tuple(vec))
-    # a simple graph's edges have distinct two-vertex supports
-    return MonomialIdeal._of_antichain(graph.context, rows)
+        vec[u] = vec[v] = e
+        rows.append((e, (1 << u) | (1 << v), tuple(vec)))
+    rows.sort(key=itemgetter(0))
+    return MonomialIdeal._of_masked(graph.context, [(m, r) for _, m, r in rows])
 
 
 def edge_ideal(graph: WeightedGraph) -> MonomialIdeal:

@@ -6,9 +6,12 @@ here, so no base ring is represented).  A :class:`Monomial` is a dense
 exponent vector over one context, and a :class:`MonomialIdeal` stores the
 exponent rows of its unique minimal generating set in graded-lexicographic
 order; construction canonicalizes, so structural equality is ideal equality.
-Construction also keeps each row's support mask (``kernels.support_mask``)
-in a private attribute.  ``kernels`` holds the masked divisor search
-that :func:`member` and :func:`ideal_leq` run and the minimalizing sweep.
+Construction also keeps each row's support mask (bit i set when exponent i
+is positive) in a private attribute: code that knows its rows' supports
+hands the masks over with the rows, and the other constructors compute
+them (``kernels.support_mask``).  ``kernels`` holds the masked divisor
+search that :func:`member` and :func:`ideal_leq` run and the minimalizing
+sweep.
 
 Conventions: the zero ideal is the empty generator list, the unit ideal is
 generated by the monomial 1 (the zero row).
@@ -118,8 +121,10 @@ class MonomialIdeal(FrozenRecord):
     The zero ideal has no rows, the unit ideal exactly the zero row.
     A value is checked once, where it enters: this constructor runs only
     on rows from outside the library.  Every ideal the library builds goes
-    through :meth:`_of_antichain`, which only sorts, after a
-    ``kernels.minimalize`` sweep where rows may divide one another.
+    through :meth:`_of_masked`, which stores the (support mask, row) pairs
+    it is given, or through :meth:`_of_antichain`, which sorts the rows and
+    computes their masks first, after a ``kernels.minimalize`` sweep where
+    rows may divide one another.
     """
 
     _fields = ("context", "rows")
@@ -133,7 +138,23 @@ class MonomialIdeal(FrozenRecord):
                 f"ideal rows must be a sequence of exponent rows, got {rows!r}"
             ) from None
         object.__setattr__(self, "context", context)
-        self._set_rows(kernels.minimalize(checked))
+        minimal = kernels.minimalize(checked)
+        self._set_masked_rows(zip(map(kernels.support_mask, minimal), minimal))
+
+    @classmethod
+    def _of_masked(cls, context: VariableContext, masked_rows) -> "MonomialIdeal":
+        """The ideal of (support mask, row) pairs that library code built.
+
+        The caller guarantees that each row is a tuple of
+        ``context.dimension`` nonnegative ints with bit i of its mask set
+        exactly when exponent i is positive, that no row divides another,
+        and that the pairs come in graded-lex order of their rows.  They
+        are stored as given: no validation, no sweep, no sort, no scan.
+        """
+        ideal = object.__new__(cls)
+        object.__setattr__(ideal, "context", context)
+        ideal._set_masked_rows(masked_rows)
+        return ideal
 
     @classmethod
     def _of_antichain(cls, context: VariableContext, rows) -> "MonomialIdeal":
@@ -142,19 +163,16 @@ class MonomialIdeal(FrozenRecord):
         The caller guarantees that each row is a tuple of
         ``context.dimension`` nonnegative ints and that no row divides
         another (so no two are equal).  The rows are only sorted
-        graded-lexicographically: no validation, no sweep.
+        graded-lexicographically and their masks computed.
         """
-        ideal = object.__new__(cls)
-        object.__setattr__(ideal, "context", context)
-        ideal._set_rows(sorted(rows, key=kernels.grlex_key))
-        return ideal
+        ordered = sorted(rows, key=kernels.grlex_key)
+        return cls._of_masked(context, zip(map(kernels.support_mask, ordered), ordered))
 
-    def _set_rows(self, rows) -> None:
-        rows = tuple(rows)
-        object.__setattr__(self, "rows", rows)
+    def _set_masked_rows(self, masked_rows) -> None:
+        masked_rows = tuple(masked_rows)
+        object.__setattr__(self, "rows", tuple(r for _, r in masked_rows))
         # not a field: equality, hashing and repr see only (context, rows)
-        masks = map(kernels.support_mask, rows)
-        object.__setattr__(self, "_masked_rows", tuple(zip(masks, rows)))
+        object.__setattr__(self, "_masked_rows", masked_rows)
 
     @classmethod
     def zero(cls, context: VariableContext) -> "MonomialIdeal":
@@ -230,8 +248,8 @@ def bracket_power(ideal: MonomialIdeal, a: int) -> MonomialIdeal:
     if isinstance(a, bool) or not isinstance(a, int) or a < 1:
         raise ValueError("bracket power exponent must be a positive integer")
     # scaling by a >= 1 keeps divisibility, the order and the supports
-    rows = [tuple(e * a for e in r) for r in ideal.rows]
-    return MonomialIdeal._of_antichain(ideal.context, rows)
+    masked = [(mask, tuple(e * a for e in r)) for mask, r in ideal._masked_rows]
+    return MonomialIdeal._of_masked(ideal.context, masked)
 
 
 def polarize(

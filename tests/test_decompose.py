@@ -2,7 +2,6 @@
 
 import itertools
 import random
-import time
 
 import pytest
 
@@ -719,22 +718,29 @@ class TestRouteAgreement:
         D = split_decompose(ideal(X, (1,) * n))
         assert D.components == tuple(comp(X, {i: 1}) for i in range(n))
 
-    def test_star_ideal_builds_faster_than_it_splits(self):
-        # edges of a star never divide each other; the support-filtered
-        # sweep compares none of them exponent by exponent, so building
-        # the ideal must cost less than decomposing it
+    def test_star_ideal_builds_without_exponent_comparisons(self, monkeypatch):
+        # edges of a star never divide each other, so building the ideal
+        # compares no two exponents: the edge ideal takes its rows as an
+        # antichain, and the validating constructor's support-masked sweep
+        # rejects every pair on masks alone.  kernels.all_divided looks le
+        # up on each call, so counting it counts every exponent comparison
+        calls = []
+
+        def le(a, b):
+            calls.append(None)
+            return a <= b
+
+        monkeypatch.setattr(kernels, "le", le)
         n = 400
         g = weighted_graph(n + 1, [Edge(0, i + 1, 1 + i % 3) for i in range(n)])
-        build = split = float("inf")
-        for _ in range(2):
-            t0 = time.perf_counter()
-            I = weighted_edge_ideal(g)
-            t1 = time.perf_counter()
-            D = split_decompose(I)
-            t2 = time.perf_counter()
-            build, split = min(build, t1 - t0), min(split, t2 - t1)
-        assert len(D) == 4
-        assert build < split, (build, split)
+        I = weighted_edge_ideal(g)
+        assert len(calls) == 0
+        assert MonomialIdeal(g.context, I.rows) == I
+        assert len(calls) == 0
+        # the counter counts: one comparison of a row with itself
+        assert kernels.all_divided(I._masked_rows[:1], I._masked_rows[:1])
+        assert len(calls) == n + 1
+        assert len(split_decompose(I)) == 4
 
 
 def tuple_fold(D):

@@ -9,7 +9,7 @@ import random
 import pytest
 
 from graphideals import kernels
-from graphideals.decompose import _PowersCodec, split_decompose
+from graphideals.decompose import _pack_masked, _PowersCodec, split_decompose
 from graphideals.graphs import cover_decomposition, weighted_edge_ideal
 from graphideals.monomials import (
     Monomial,
@@ -310,6 +310,19 @@ class TestPrunePowers:
             assert prune_powers(items) == brute_prune_powers(items)
 
 
+def dense_pack(codec, row):
+    """A row in the split route's packed layout, by definition: the degree
+    above the exponent fields, field i holding row[i]."""
+    return (sum(row) << codec.fields_bits) | sum(
+        e << s for e, s in zip(row, codec.shifts)
+    )
+
+
+def dense_support(codec, row):
+    """The lowest bit of each field where row is positive."""
+    return sum(1 << s for e, s in zip(row, codec.shifts) if e)
+
+
 class TestPackedRows:
     """The split route's packed monomials against the tuple kernels."""
 
@@ -320,7 +333,7 @@ class TestPackedRows:
             hi = rng.choice((1, 3, 10**20))
             codec = _PowersCodec(dim, hi)
             rows = list(set(random_vecs(rng, rng.randint(0, 20), dim, hi)))
-            packed = {codec.pack_row(r): r for r in rows}
+            packed = {dense_pack(codec, r): r for r in rows}
             assert len(packed) == len(rows)
             for m, r in packed.items():
                 assert m >> codec.fields_bits == sum(r)
@@ -337,11 +350,37 @@ class TestPackedRows:
             codec = _PowersCodec(dim, hi)
             guards = codec.guards
             a, b = random_vecs(rng, 2, dim, hi)
-            pa, pb = codec.pack_row(a), codec.pack_row(b)
+            pa, pb = dense_pack(codec, a), dense_pack(codec, b)
             assert (((pb | guards) - pa) & guards == guards) == kernels.divides(a, b)
-            assert codec.support(pa) == sum(
-                1 << s for e, s in zip(a, codec.shifts) if e
+
+    def test_sparse_pack_matches_dense_definition(self):
+        # seeded antichains with many zero exponents, over dimensions 1-40
+        # and exponents up to 10**20: packing from the support masks gives
+        # the dense layout, the dense supports and the dense maximum
+        rng = random.Random(20261021)
+        for trial in range(300):
+            dim = rng.randint(1, 40)
+            hi = rng.choice((1, 3, 10, 10**20))
+            rows = []
+            for _ in range(rng.randint(1, 12)):
+                raised = rng.sample(range(dim), rng.randint(1, min(dim, 4)))
+                rows.append(
+                    tuple(rng.randint(1, hi) if i in raised else 0 for i in range(dim))
+                )
+            rows = kernels.minimalize(rows)
+            codec, packed = _pack_masked(
+                dim, [(kernels.support_mask(r), r) for r in rows]
             )
+            assert codec.top == max(map(max, rows)) + 1
+            assert list(packed) == [dense_pack(codec, r) for r in rows]
+            assert list(packed.values()) == [dense_support(codec, r) for r in rows]
+        # the zero ideal, and a single pure power
+        codec, packed = _pack_masked(5, [])
+        assert (codec.top, packed) == (1, {})
+        row = (0, 0, 10**20, 0, 0)
+        codec, packed = _pack_masked(5, [(0b100, row)])
+        assert codec.top == 10**20 + 1
+        assert packed == {dense_pack(codec, row): dense_support(codec, row)}
 
     @staticmethod
     def descending(dimension, components):
@@ -389,7 +428,7 @@ def bit_loop_unpack(codec, packed):
     """The split route's former decoder, one support bit at a time: the
     oracle of the chunked ``_PowersCodec.unpack``."""
     index = {s: k for k, s in enumerate(codec.shifts)}
-    mask = codec.support(packed)
+    mask = sum(1 << s for s in codec.shifts if (packed >> s) & codec.field)
     powers = []
     while mask:
         at = mask.bit_length() - 1
