@@ -281,9 +281,10 @@ def split_decompose(
     The children J_a1, ..., J_top form a chain, each the one below plus
     one level's m_k.  No row of the one below divides such an m_k (it
     would divide x_c^a_k * m_k), so adjoining the m_k drops their
-    multiples and inserts them, and the peel needs the supports of the
-    rows left: one pass of :func:`child` builds each child from the one
-    below.  Each monomial's degree and support are computed once, when it
+    multiples (only a row whose support meets theirs can be one) and
+    inserts them, and the peel needs the supports of the rows left: one
+    pass of :func:`child` builds each child from the one below.  Each
+    monomial's degree and support are computed once, when it
     enters: as an input row, or as a cofactor m_k; the peel and the nodes
     read the supports from that table.  The recursion runs on an explicit
     stack, so its depth is not bounded by Python's recursion limit.  The
@@ -319,15 +320,16 @@ def split_decompose(
                 mixed |= s
             else:
                 pure |= s
+        # a row whose support misses every new support has no divisor there
+        reach = mixed | pure
         kept = []
         for r in rows:
-            rg = r | guards
-            for m in new:
+            s, rg = support[r], r | guards
+            for m in new if s & reach else ():
                 if (rg - m) & guards == guards:
                     break
             else:
                 kept.append(r)
-                s = support[r]
                 if s & (s - 1):
                     mixed |= s
                 else:

@@ -10,8 +10,11 @@ when exponent i is positive: a divisor's support lies inside its
 multiple's, so the int test ``t & ~s`` rejects most non-dividing pairs
 before any tuple comparison (the "short exponent vector" filter of
 Bachmann & Schönemann, ISSAC 1998).  :func:`all_divided` is the one
-divisor search on masked rows, for :func:`minimalize` and ``monomials``;
-:func:`powers_leq` is the containment order of irreducible components.
+divisor search on masked rows, for :func:`minimalize` and ``monomials``.
+:func:`minimalize` returns the (mask, vector) pairs it keeps and
+:func:`intersect_rows` takes and returns such pairs, so a mask computed
+by the sweep is the one the ideal stores.  :func:`powers_leq` is the
+containment order of irreducible components.
 
 Only the pure-Python implementation exists.  ``available``, ``active``
 and ``use`` are kept for perfbench, whose report stamp names the kernel
@@ -84,12 +87,14 @@ def all_divided(gens, rows):
 
 
 def minimalize(vecs):
-    """Minimal elements of vecs under divisibility, in graded-lex order.
+    """Minimal elements of vecs under divisibility, as (support mask,
+    vector) pairs in graded-lex order of the vectors.
 
     Deduplicates, then drops every vector some other vector divides.  A
     strict divisor has strictly smaller total degree, so one ascending
     sweep over the graded-lex ordering suffices: each candidate goes
-    through :func:`all_divided` against the kept (mask, vector) pairs.
+    through :func:`all_divided` against the kept pairs, which are
+    returned as they stand.
     """
     ordered = sorted(set(vecs), key=grlex_key)
     dim = len(ordered[0]) if ordered else 0
@@ -100,12 +105,13 @@ def minimalize(vecs):
         pair = (support_mask(v), v)
         if not all_divided(kept, (pair,)):
             kept.append(pair)
-    return [v for _, v in kept]
+    return kept
 
 
 def intersect_rows(gens1, gens2):
-    """Generating rows of the intersection: minimalized pairwise lcms."""
-    return minimalize([lcm(f, g) for f in gens1 for g in gens2])
+    """The intersection's (support mask, row) pairs from both ideals'
+    pairs: the minimalized pairwise lcms."""
+    return minimalize([lcm(f, g) for _, f in gens1 for _, g in gens2])
 
 
 def powers_leq(small, big):

@@ -7,11 +7,10 @@ exponent vector over one context, and a :class:`MonomialIdeal` stores the
 exponent rows of its unique minimal generating set in graded-lexicographic
 order; construction canonicalizes, so structural equality is ideal equality.
 Construction also keeps each row's support mask (bit i set when exponent i
-is positive) in a private attribute: code that knows its rows' supports
-hands the masks over with the rows, and the other constructors compute
-them (``kernels.support_mask``).  ``kernels`` holds the masked divisor
-search that :func:`member` and :func:`ideal_leq` run and the minimalizing
-sweep.
+is positive) in a private attribute, handed over with the rows by the code
+that builds them: the minimalizing sweep (``kernels.minimalize``) returns
+its kept rows with their masks.  ``kernels`` also holds the masked divisor
+search that :func:`member` and :func:`ideal_leq` run.
 
 Conventions: the zero ideal is the empty generator list, the unit ideal is
 generated by the monomial 1 (the zero row).
@@ -122,9 +121,8 @@ class MonomialIdeal(FrozenRecord):
     A value is checked once, where it enters: this constructor runs only
     on rows from outside the library.  Every ideal the library builds goes
     through :meth:`_of_masked`, which stores the (support mask, row) pairs
-    it is given, or through :meth:`_of_antichain`, which sorts the rows and
-    computes their masks first, after a ``kernels.minimalize`` sweep where
-    rows may divide one another.
+    it is given: built with the rows, or kept by ``kernels.minimalize``
+    where rows may divide one another.
     """
 
     _fields = ("context", "rows")
@@ -138,8 +136,7 @@ class MonomialIdeal(FrozenRecord):
                 f"ideal rows must be a sequence of exponent rows, got {rows!r}"
             ) from None
         object.__setattr__(self, "context", context)
-        minimal = kernels.minimalize(checked)
-        self._set_masked_rows(zip(map(kernels.support_mask, minimal), minimal))
+        self._set_masked_rows(kernels.minimalize(checked))
 
     @classmethod
     def _of_masked(cls, context: VariableContext, masked_rows) -> "MonomialIdeal":
@@ -156,18 +153,6 @@ class MonomialIdeal(FrozenRecord):
         ideal._set_masked_rows(masked_rows)
         return ideal
 
-    @classmethod
-    def _of_antichain(cls, context: VariableContext, rows) -> "MonomialIdeal":
-        """The ideal of rows that library code built as an antichain.
-
-        The caller guarantees that each row is a tuple of
-        ``context.dimension`` nonnegative ints and that no row divides
-        another (so no two are equal).  The rows are only sorted
-        graded-lexicographically and their masks computed.
-        """
-        ordered = sorted(rows, key=kernels.grlex_key)
-        return cls._of_masked(context, zip(map(kernels.support_mask, ordered), ordered))
-
     def _set_masked_rows(self, masked_rows) -> None:
         masked_rows = tuple(masked_rows)
         object.__setattr__(self, "rows", tuple(r for _, r in masked_rows))
@@ -176,11 +161,11 @@ class MonomialIdeal(FrozenRecord):
 
     @classmethod
     def zero(cls, context: VariableContext) -> "MonomialIdeal":
-        return cls._of_antichain(context, ())
+        return cls._of_masked(context, ())
 
     @classmethod
     def unit(cls, context: VariableContext) -> "MonomialIdeal":
-        return cls._of_antichain(context, ((0,) * context.dimension,))
+        return cls._of_masked(context, ((0, (0,) * context.dimension),))
 
     @property
     def generators(self) -> tuple[Monomial, ...]:
@@ -233,14 +218,14 @@ def ideal_eq(a: MonomialIdeal, b: MonomialIdeal) -> bool:
 def intersect(a: MonomialIdeal, b: MonomialIdeal) -> MonomialIdeal:
     """Intersection, generated by the minimalized pairwise lcms of the generators."""
     _same_context(a, b)
-    rows = kernels.intersect_rows(a.rows, b.rows)
-    return MonomialIdeal._of_antichain(a.context, rows)
+    masked = kernels.intersect_rows(a._masked_rows, b._masked_rows)
+    return MonomialIdeal._of_masked(a.context, masked)
 
 
 def m_radical(ideal: MonomialIdeal) -> MonomialIdeal:
     """Monomial radical: flatten every positive exponent to 1."""
     rows = [tuple(1 if e > 0 else 0 for e in r) for r in ideal.rows]
-    return MonomialIdeal._of_antichain(ideal.context, kernels.minimalize(rows))
+    return MonomialIdeal._of_masked(ideal.context, kernels.minimalize(rows))
 
 
 def bracket_power(ideal: MonomialIdeal, a: int) -> MonomialIdeal:
@@ -277,15 +262,17 @@ def polarize(
             origin[len(names)] = i
             names.append(f"{ideal.context.names[i]}_{j + 1}")
     polar_context = VariableContext(tuple(names))
-    polar_rows = []
+    # an order embedding that keeps degree and lex order: the polar rows
+    # are an antichain in graded-lex order too
+    masked = []
     for r in rows:
-        vec = [0] * len(names)
+        vec, mask = [0] * len(names), 0
         for i, e in enumerate(r):
-            for j in range(e):
-                vec[offset[i] + j] = 1
-        polar_rows.append(tuple(vec))
-    # an order embedding: the polar rows are an antichain too
-    return polar_context, MonomialIdeal._of_antichain(polar_context, polar_rows), origin
+            for j in range(offset[i], offset[i] + e):
+                vec[j] = 1
+                mask |= 1 << j
+        masked.append((mask, tuple(vec)))
+    return polar_context, MonomialIdeal._of_masked(polar_context, masked), origin
 
 
 def depolarize(
@@ -311,4 +298,4 @@ def depolarize(
                     raise ValueError(f"origin has no target for polar variable {j}")
                 vec[origin[j]] += e
         rows.append(tuple(vec))
-    return MonomialIdeal._of_antichain(context, kernels.minimalize(rows))
+    return MonomialIdeal._of_masked(context, kernels.minimalize(rows))

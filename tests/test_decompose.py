@@ -844,7 +844,7 @@ class TestIntersection:
 
 
 class TestLibraryAntichains:
-    """The ideals built by MonomialIdeal._of_antichain against the
+    """The ideals built by MonomialIdeal._of_masked against the
     validating constructor as the oracle: the same rows, masks, equality,
     hash and repr as MonomialIdeal(context, rows) on rows built here from
     the definitions."""

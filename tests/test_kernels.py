@@ -84,6 +84,14 @@ def random_vecs(rng, count, dim, hi):
     ]
 
 
+def rows_of(pairs):
+    """The rows of (support mask, row) pairs, each mask checked to be the
+    row's support."""
+    for mask, row in pairs:
+        assert mask == kernels.support_mask(row), (mask, row)
+    return [row for _, row in pairs]
+
+
 class TestKernelContract:
     def test_divides(self, impl):
         assert impl.divides((1, 0, 2), (1, 1, 2))
@@ -103,10 +111,10 @@ class TestKernelContract:
 
     def test_minimalize_golden(self, impl):
         got = impl.minimalize([(2, 0), (3, 0), (2, 0), (0, 5), (2, 5)])
-        assert got == [(2, 0), (0, 5)]
+        assert got == [(0b01, (2, 0)), (0b10, (0, 5))]
 
     def test_minimalize_unit_absorbs(self, impl):
-        assert impl.minimalize([(0, 0), (1, 2)]) == [(0, 0)]
+        assert impl.minimalize([(0, 0), (1, 2)]) == [(0, (0, 0))]
 
     def test_minimalize_empty(self, impl):
         assert impl.minimalize([]) == []
@@ -116,18 +124,20 @@ class TestKernelContract:
         for trial in range(200):
             dim = rng.randint(1, 5)
             vecs = random_vecs(rng, rng.randint(0, 12), dim, 4)
-            assert impl.minimalize(vecs) == brute_minimalize(vecs)
+            assert rows_of(impl.minimalize(vecs)) == brute_minimalize(vecs)
 
     def test_intersect_rows(self, impl):
-        left = [(2, 0, 0), (0, 5, 5)]
-        right = [(0, 2, 0)]
-        assert impl.intersect_rows(left, right) == [(2, 2, 0), (0, 5, 5)]
+        left = [(0b001, (2, 0, 0)), (0b110, (0, 5, 5))]
+        right = [(0b010, (0, 2, 0))]
+        got = impl.intersect_rows(left, right)
+        assert got == [(0b011, (2, 2, 0)), (0b110, (0, 5, 5))]
 
     def test_exhaustive_small_minimalize(self, impl):
         univ = list(itertools.product(range(3), repeat=2))
         for size in range(4):
             for vecs in itertools.combinations(univ, size):
-                assert impl.minimalize(list(vecs)) == brute_minimalize(vecs)
+                got = impl.minimalize(list(vecs))
+                assert rows_of(got) == brute_minimalize(vecs)
 
     def test_minimalize_dimension_mismatch_raises(self, impl):
         with pytest.raises(ValueError):
@@ -198,7 +208,7 @@ class TestSupportMaskedLayer:
         for trial in range(30):
             rows = oracle_rows(rng, dim, shape, values)
             expected = dense_minimalize(rows)
-            assert kernels.minimalize(rows) == expected
+            assert rows_of(kernels.minimalize(rows)) == expected
             assert MonomialIdeal(ctx, rows).rows == tuple(expected)
 
     @pytest.mark.parametrize("dim, shape, values", ORACLE_CASES, ids=ORACLE_IDS)
@@ -263,7 +273,7 @@ def prune_powers(items):
         for i, e in powers:
             vec[i] = top - e
         by_vec[tuple(vec)] = powers
-    return tuple(sorted(by_vec[v] for v in kernels.minimalize(list(by_vec))))
+    return tuple(sorted(by_vec[v] for _, v in kernels.minimalize(list(by_vec))))
 
 
 def brute_prune_powers(items):
@@ -367,10 +377,9 @@ class TestPackedRows:
                 rows.append(
                     tuple(rng.randint(1, hi) if i in raised else 0 for i in range(dim))
                 )
-            rows = kernels.minimalize(rows)
-            codec, packed = _pack_masked(
-                dim, [(kernels.support_mask(r), r) for r in rows]
-            )
+            masked = kernels.minimalize(rows)
+            rows = rows_of(masked)
+            codec, packed = _pack_masked(dim, masked)
             assert codec.top == max(map(max, rows)) + 1
             assert list(packed) == [dense_pack(codec, r) for r in rows]
             assert list(packed.values()) == [dense_support(codec, r) for r in rows]
@@ -605,7 +614,7 @@ class TestSelector:
         try:
             kernels.use("python")
             assert kernels.active() == "python"
-            assert kernels.minimalize([(2, 0), (1, 0)]) == [(1, 0)]
+            assert kernels.minimalize([(2, 0), (1, 0)]) == [(1, (1, 0))]
         finally:
             kernels.use(before)
 

@@ -4,6 +4,8 @@ import random
 
 import pytest
 
+from graphideals import kernels
+from graphideals.kernels import support_mask
 from graphideals.monomials import (
     ContextMismatchError,
     Monomial,
@@ -361,7 +363,7 @@ def seeded_ideal(rng, d, huge):
 
 
 class TestTrustedSites:
-    """Every ideal the library builds goes through _of_antichain; the
+    """Every ideal the library builds goes through _of_masked; the
     validating constructor on rows built here from the definitions is
     the oracle: the same rows, masks, equality and hash."""
 
@@ -421,6 +423,25 @@ class TestTrustedSites:
                 ]
                 self.check(polar, rows)
             self.check(depolarize(polar, origin, I.context), I.rows)
+
+    def test_each_mask_is_computed_once(self, monkeypatch):
+        # the validating constructor stores the masks of the sweep, and
+        # polarize builds its masks with its rows
+        calls = []
+
+        def counted(vec):
+            calls.append(vec)
+            return support_mask(vec)
+
+        monkeypatch.setattr(kernels, "support_mask", counted)
+        X = VariableContext.of_dimension(4)
+        rows = [(1, 0, 0, 0), (2, 1, 0, 0), (0, 3, 1, 0), (0, 3, 2, 5), (0, 1, 0, 1)]
+        I = MonomialIdeal(X, rows + rows[:2])
+        assert len(I.rows) == 3
+        assert sorted(calls) == sorted(rows)
+        calls.clear()
+        _, polar, _ = polarize(I)
+        assert calls == [] and len(polar.rows) == 3
 
     def test_depolarize_collapsing_origins(self):
         # an origin map that merges variables can make rows divide others
