@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import random
 import re
 import sys
@@ -494,7 +495,14 @@ def main(argv=None) -> int:
     report = run(args)
     rendered = render(report, args.fmt)
     if report.status == "ok":
-        print(rendered)
+        try:
+            print(rendered, flush=True)
+        except BrokenPipeError:
+            # the reader left early; stdout goes to devnull, so that the
+            # flush at exit does not fail again
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
     else:
         print(rendered, file=sys.stderr)
     return report.exit_code()

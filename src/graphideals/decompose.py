@@ -28,8 +28,8 @@ ISSAC 1998) and equal components are equal ints.
 
 from __future__ import annotations
 
+from . import kernels
 from ._records import FrozenRecord
-from .kernels import powers_leq, support_mask
 from .monomials import MonomialIdeal, VariableContext, _same_context
 
 DEFAULT_COMPONENT_CAP = 100_000
@@ -129,7 +129,7 @@ class IrreducibleComponent(FrozenRecord):
         larger exponents.
         """
         _same_context(self, other)
-        return powers_leq(other.powers, self.powers)
+        return kernels.powers_leq(other.powers, self.powers)
 
     def __str__(self) -> str:
         if not self.powers:
@@ -150,8 +150,16 @@ class Decomposition(FrozenRecord):
     def __init__(
         self, context: VariableContext, components: tuple[IrreducibleComponent, ...]
     ):
+        try:
+            components = tuple(components)
+        except TypeError:
+            raise ValueError(
+                f"components must be a sequence of components, got {components!r}"
+            ) from None
         object.__setattr__(self, "context", context)
         for c in components:
+            if not isinstance(c, IrreducibleComponent):
+                raise ValueError(f"not an irreducible component: {c!r}")
             _same_context(c, self)
         ordered = tuple(sorted(components, key=lambda c: c.powers))
         object.__setattr__(self, "components", ordered)
@@ -168,57 +176,33 @@ class Decomposition(FrozenRecord):
         """Intersect all components; recovers the decomposed ideal.
 
         Folds the components, in reverse canonical order, into the
-        generator rows of their intersection, starting from the unit
-        ideal's row 1.  Any order gives the same rows, but on the 6602
+        (support mask, row) pairs of their intersection, starting from the
+        unit ideal's row 1.  Any order gives the same rows, but on the 6602
         components of C20 (weights 1 + i % 3) the reverse one held at
         most 32 rows in between against 240 in forward order, and took
-        about a third of the time.  Rows are
-        packed as in :func:`split_decompose` (:class:`_PowersCodec`, the
-        degree above the exponent fields), so the ints sort in graded-lex
-        order, the order the ideal stores its rows in.  Against a
-        component P = (x_i^e_i : i in V'), a row r with
-        some exponent r_i >= e_i on V' lies in P and passes alone: every
-        other lcm it makes is a multiple of it.  Any other row r gives
-        lcm(r, x_i^e_i) for each i in V', one addition of e_i - r_i to
-        field i and to the degree.  One ascending sweep over the sorted,
-        deduplicated rows then keeps those no kept row divides, one
-        guarded subtraction per test; a divisor sorts before its
-        multiples.  A zero component leaves no rows, the zero ideal; no
-        components leave the unit ideal.  Neither decomposition route is
+        about a third of the time.  Against P = (x_i^e_i : i in V'), a row
+        r with some r_i >= e_i on V' lies in P and passes alone: every other
+        lcm it makes is a multiple of it.  Any other r gives, for each i in
+        V', r with r_i raised to e_i and bit i set in its mask; then one
+        ``kernels.sweep`` keeps the minimal rows.  A zero component leaves
+        the zero ideal, no components the unit ideal.  Neither route is
         called, so the result checks both.
         """
         context = self.context
-        codec = _PowersCodec(
-            context.dimension,
-            max((e for c in self.components for _, e in c.powers), default=0),
-        )
-        guards, shifts, field = codec.guards, codec.shifts, codec.field
-        degree_shift = codec.fields_bits
-        rows = [0]
+        rows = [(0, (0,) * context.dimension)]
         for c in reversed(self.components):
-            steps = [(shifts[i], e) for i, e in c.powers]
-            powers = sum(e << s for s, e in steps)
-            in_support = sum(1 << s for s, _ in steps) << codec.bits
-            candidates = set()
-            for r in rows:
-                if ((r | guards) - powers) & in_support:
-                    candidates.add(r)
-                    continue
-                for s, e in steps:
-                    gap = e - ((r >> s) & field)
-                    candidates.add(r + (gap << s) + (gap << degree_shift))
-            rows = []
-            for m in sorted(candidates):
-                mg = m | guards
-                for k in rows:
-                    if (mg - k) & guards == guards:
+            powers = c.powers
+            candidates = []
+            for mask, r in rows:
+                for i, e in powers:
+                    if r[i] >= e:
+                        candidates.append((mask, r))
                         break
                 else:
-                    rows.append(m)
-        unpacked = [codec.unpack_row(r) for r in rows]
-        return MonomialIdeal._of_masked(
-            context, zip(map(support_mask, unpacked), unpacked)
-        )
+                    for i, e in powers:
+                        candidates.append((mask | 1 << i, r[:i] + (e,) + r[i + 1 :]))
+            rows = kernels.sweep(candidates)
+        return MonomialIdeal._of_masked(context, rows)
 
     def support_sizes(self) -> tuple[int, ...]:
         return tuple(sorted({c.m_height for c in self.components}))
@@ -601,10 +585,6 @@ class _PowersCodec:
         # chunks start at bit 0, so the one holding variable 0 may be short
         self.top_chunk = ((1 << step) - 1) << (self.fields_bits - 1) // step * step
         self.chunks = {}
-
-    def unpack_row(self, packed) -> tuple[int, ...]:
-        field = self.field
-        return tuple((packed >> s) & field for s in self.shifts)
 
     def unpack(self, packed) -> tuple[tuple[int, int], ...]:
         chunks, step, mask, powers = self.chunks, self.chunk_bits, self.top_chunk, ()

@@ -2,18 +2,18 @@
 
 The small componentwise operations that dominate decomposition and
 enumeration time.  Vectors in one call must share a single dimension;
-``minimalize`` rejects mixed dimensions, the pointwise helpers trust
-their callers' context checks.
+``minimalize`` rejects mixed dimensions, the sweep and the pointwise
+helpers trust their callers' context checks.
 
 Vectors stay dense tuples.  Each one also gets a support mask, bit i set
 when exponent i is positive: a divisor's support lies inside its
 multiple's, so the int test ``t & ~s`` rejects most non-dividing pairs
 before any tuple comparison (the "short exponent vector" filter of
 Bachmann & Schönemann, ISSAC 1998).  :func:`all_divided` is the one
-divisor search on masked rows, for :func:`minimalize` and ``monomials``.
-:func:`minimalize` returns the (mask, vector) pairs it keeps and
-:func:`intersect_rows` takes and returns such pairs, so a mask computed
-by the sweep is the one the ideal stores.  :func:`powers_leq` is the
+divisor search on masked rows, for :func:`sweep` and ``monomials``.
+:func:`sweep`, the one antichain sweep, takes and returns (mask, vector)
+pairs, so callers hand over the masks they hold; :func:`minimalize`
+builds them for vectors from outside.  :func:`powers_leq` is the
 containment order of irreducible components.
 
 Only the pure-Python implementation exists.  ``available``, ``active``
@@ -86,32 +86,35 @@ def all_divided(gens, rows):
     return True
 
 
-def minimalize(vecs):
-    """Minimal elements of vecs under divisibility, as (support mask,
-    vector) pairs in graded-lex order of the vectors.
+def sweep(pairs):
+    """Minimal elements of (support mask, vector) pairs under divisibility,
+    in graded-lex order of the vectors; each mask is its vector's support.
 
-    Deduplicates, then drops every vector some other vector divides.  A
+    Deduplicates, then drops every pair whose vector another divides.  A
     strict divisor has strictly smaller total degree, so one ascending
     sweep over the graded-lex ordering suffices: each candidate goes
-    through :func:`all_divided` against the kept pairs, which are
-    returned as they stand.
+    through :func:`all_divided` against the kept pairs.
     """
-    ordered = sorted(set(vecs), key=grlex_key)
-    dim = len(ordered[0]) if ordered else 0
     kept = []
-    for v in ordered:
-        if len(v) != dim:
-            raise ValueError("exponent vectors must share one dimension")
-        pair = (support_mask(v), v)
+    for pair in sorted(set(pairs), key=lambda p: grlex_key(p[1])):
         if not all_divided(kept, (pair,)):
             kept.append(pair)
     return kept
 
 
+def minimalize(vecs):
+    """Minimal elements of vecs under divisibility, as :func:`sweep`'s
+    (support mask, vector) pairs; mixed dimensions raise ValueError."""
+    vecs = set(vecs)
+    if len({len(v) for v in vecs}) > 1:
+        raise ValueError("exponent vectors must share one dimension")
+    return sweep([(support_mask(v), v) for v in vecs])
+
+
 def intersect_rows(gens1, gens2):
     """The intersection's (support mask, row) pairs from both ideals'
-    pairs: the minimalized pairwise lcms."""
-    return minimalize([lcm(f, g) for _, f in gens1 for _, g in gens2])
+    pairs: the minimal pairwise lcms, masked by the OR of their masks."""
+    return sweep([(t | u, lcm(f, g)) for t, f in gens1 for u, g in gens2])
 
 
 def powers_leq(small, big):

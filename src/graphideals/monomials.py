@@ -8,8 +8,8 @@ exponent rows of its unique minimal generating set in graded-lexicographic
 order; construction canonicalizes, so structural equality is ideal equality.
 Construction also keeps each row's support mask (bit i set when exponent i
 is positive) in a private attribute, handed over with the rows by the code
-that builds them: the minimalizing sweep (``kernels.minimalize``) returns
-its kept rows with their masks.  ``kernels`` also holds the masked divisor
+that builds them, also to the antichain sweep (``kernels.sweep``), which
+returns the pairs it keeps.  ``kernels`` also holds the masked divisor
 search that :func:`member` and :func:`ideal_leq` run.
 
 Conventions: the zero ideal is the empty generator list, the unit ideal is
@@ -121,8 +121,8 @@ class MonomialIdeal(FrozenRecord):
     A value is checked once, where it enters: this constructor runs only
     on rows from outside the library.  Every ideal the library builds goes
     through :meth:`_of_masked`, which stores the (support mask, row) pairs
-    it is given: built with the rows, or kept by ``kernels.minimalize``
-    where rows may divide one another.
+    it is given: built with the rows, or kept by ``kernels.sweep`` where
+    rows may divide one another.
     """
 
     _fields = ("context", "rows")
@@ -223,9 +223,9 @@ def intersect(a: MonomialIdeal, b: MonomialIdeal) -> MonomialIdeal:
 
 
 def m_radical(ideal: MonomialIdeal) -> MonomialIdeal:
-    """Monomial radical: flatten every positive exponent to 1."""
-    rows = [tuple(1 if e > 0 else 0 for e in r) for r in ideal.rows]
-    return MonomialIdeal._of_masked(ideal.context, kernels.minimalize(rows))
+    """Monomial radical: flatten every positive exponent to 1 (the masks stay)."""
+    flat = [(s, tuple(1 if e > 0 else 0 for e in r)) for s, r in ideal._masked_rows]
+    return MonomialIdeal._of_masked(ideal.context, kernels.sweep(flat))
 
 
 def bracket_power(ideal: MonomialIdeal, a: int) -> MonomialIdeal:
@@ -282,20 +282,25 @@ def depolarize(
 ) -> MonomialIdeal:
     """Undo :func:`polarize` by collapsing the fresh variables again.
 
-    ``origin`` must send every polar variable that a generator raises to
-    a variable index of ``context``; anything else raises ValueError.
+    ``origin`` must be a mapping that sends every polar variable that a
+    generator raises to a variable index of ``context``; anything else
+    raises ValueError.
     """
+    if not isinstance(origin, Mapping):
+        raise ValueError(f"origin must be a mapping, got {origin!r}")
     dim = context.dimension
     for i in origin.values():
         if isinstance(i, bool) or not isinstance(i, int) or not 0 <= i < dim:
             raise ValueError(f"origin targets must be indices below {dim}, got {i!r}")
-    rows = []
+    masked = []
     for r in polar_ideal.rows:
-        vec = [0] * dim
+        vec, mask = [0] * dim, 0
         for j, e in enumerate(r):
             if e:
                 if j not in origin:
                     raise ValueError(f"origin has no target for polar variable {j}")
-                vec[origin[j]] += e
-        rows.append(tuple(vec))
-    return MonomialIdeal._of_masked(context, kernels.minimalize(rows))
+                i = origin[j]
+                vec[i] += e
+                mask |= 1 << i
+        masked.append((mask, tuple(vec)))
+    return MonomialIdeal._of_masked(context, kernels.sweep(masked))

@@ -664,6 +664,38 @@ class TestErrorDiscipline:
             b"error: invalid graph: vertex name '\\ud800' is not valid UTF-8\n"
         )
 
+    @pytest.mark.parametrize("command", ["verify", "covers"])
+    def test_closed_stdout_prints_no_traceback(self, tmp_path, command):
+        # the reader is gone before the report is written, as when the
+        # output is piped into `head -1`: no traceback, no "Exception
+        # ignored" line, and the report's exit code
+        n = 12
+        doc = {
+            "vertices": [f"v{i}" for i in range(n)],
+            "edges": [
+                {"u": f"v{i}", "v": f"v{(i + 1) % n}", "w": 1 + i % 3} for i in range(n)
+            ],
+        }
+        path = tmp_path / "c12.json"
+        path.write_text(json.dumps(doc))
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        argv = [sys.executable, "-m", "graphideals", command, str(path)]
+        argv += ["--format", "json"]
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            done = subprocess.run(
+                argv,
+                stdout=write_end,
+                stderr=subprocess.PIPE,
+                env=env,
+                timeout=60,
+            )
+        finally:
+            os.close(write_end)
+        assert (done.returncode, done.stderr) == (0, b"")
+
     def test_unknown_command_is_usage_error(self):
         code, _, _ = invoke(["frobnicate"])
         assert code == 1

@@ -26,8 +26,11 @@ from graphideals.monomials import (
     MonomialIdeal,
     VariableContext,
     bracket_power,
+    depolarize,
     ideal_eq,
     intersect,
+    m_radical,
+    polarize,
 )
 from graphideals.verify import exhaustive_weighted_graphs, random_weighted_graph
 from test_monomials import is_m_irreducible
@@ -787,8 +790,9 @@ def seeded_component_list(rng):
 
 
 class TestIntersection:
-    """The packed fold of Decomposition.intersection against the fold of
-    monomials.intersect on dense tuples."""
+    """Decomposition.intersection, one kernels.sweep per component on
+    (support mask, row) pairs, against a balanced fold of
+    monomials.intersect over the components' ideals."""
 
     def test_random_component_lists(self):
         rng = random.Random(918)
@@ -918,16 +922,52 @@ class TestLibraryAntichains:
 
     def test_no_site_runs_the_sweep(self, monkeypatch):
         def sweep(vecs):
-            raise AssertionError("kernels.minimalize called")
+            raise AssertionError("the antichain sweep ran")
 
         g = route_graph("K10")
         D = cover_decomposition(g)
         monkeypatch.setattr(kernels, "minimalize", sweep)
+        monkeypatch.setattr(kernels, "sweep", sweep)
         edge_ideal(g)
         bracket_power(weighted_edge_ideal(g), 2)
         for c in D.components:
             c.ideal()
-        D.intersection()
+
+    def test_sweeping_sites_compute_no_mask(self, monkeypatch):
+        # the sites that sweep hand it the masks they hold or derive:
+        # kernels.support_mask is never called, and the masks stored are
+        # still each row's support
+        calls, support_mask = [], kernels.support_mask
+
+        def counted(vec):
+            calls.append(vec)
+            return support_mask(vec)
+
+        graphs = list(
+            itertools.islice(exhaustive_weighted_graphs(4, (1, 2, 3)), 0, None, 9)
+        )
+        graphs += [route_graph("C10"), route_graph("K6")]
+        inputs = []
+        for g in graphs:
+            I = weighted_edge_ideal(g)
+            D = cover_decomposition(g)
+            ideals = [c.ideal() for c in D.components]
+            inputs.append((I, D, ideals, polarize(I)))
+        built = []
+        with monkeypatch.context() as patch:
+            patch.setattr(kernels, "support_mask", counted)
+            for I, D, ideals, (_, polar, origin) in inputs:
+                built.append((D.intersection(), I.rows))
+                radical = m_radical(I)
+                built.append((radical, [tuple(int(e > 0) for e in r) for r in I.rows]))
+                built.append((depolarize(polar, origin, I.context), I.rows))
+                built.append((intersect(I, radical), I.rows))
+                for a, b in zip(ideals, ideals[1:]):
+                    rows = [kernels.lcm(f, h) for f in a.rows for h in b.rows]
+                    built.append((intersect(a, b), rows))
+        assert calls == []
+        for ideal, rows in built:
+            self.check(ideal, rows)
 
 
 class TestHeightAndUnmixed:
@@ -977,6 +1017,20 @@ class TestDecompositionValue:
             Decomposition(other, (a,))
         with pytest.raises(ContextMismatchError):
             comp(other, {1: 1}).contains(a)
+
+    @pytest.mark.parametrize(
+        "components, message",
+        [
+            (None, "components must be a sequence of components, got None"),
+            (5, "components must be a sequence of components, got 5"),
+            ([1], "not an irreducible component: 1"),
+            ([((0, 1),)], r"not an irreducible component: \(\(0, 1\),\)"),
+        ],
+        ids=["none", "int", "int-entry", "powers-entry"],
+    )
+    def test_bad_components_rejected(self, components, message):
+        with pytest.raises(ValueError, match=message):
+            Decomposition(X3, components)
 
     def test_support_sizes(self):
         D = split_decompose(ideal(X3, (2, 2, 0), (0, 5, 5)))

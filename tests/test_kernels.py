@@ -212,6 +212,19 @@ class TestSupportMaskedLayer:
             assert MonomialIdeal(ctx, rows).rows == tuple(expected)
 
     @pytest.mark.parametrize("dim, shape, values", ORACLE_CASES, ids=ORACLE_IDS)
+    def test_sweep_matches_minimalize(self, dim, shape, values):
+        # the pair sweep on rows with their masks: minimalize's pairs, in
+        # any input order, with each kept mask the row's support
+        rng = case_rng(dim, shape, values)
+        for trial in range(30):
+            rows = oracle_rows(rng, dim, shape, values)
+            pairs = [(kernels.support_mask(r), r) for r in rows]
+            rng.shuffle(pairs)
+            swept = kernels.sweep(pairs)
+            assert swept == kernels.minimalize(rows)
+            assert rows_of(swept) == dense_minimalize(rows)
+
+    @pytest.mark.parametrize("dim, shape, values", ORACLE_CASES, ids=ORACLE_IDS)
     def test_ideal_leq_and_member_match_dense(self, dim, shape, values):
         rng = case_rng(dim, shape, values)
         ctx = VariableContext.of_dimension(dim)

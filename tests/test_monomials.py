@@ -336,8 +336,10 @@ class TestPolarize:
             ({0: 5}, "origin targets must be indices below 2, got 5"),
             ({0: True}, "origin targets must be indices below 2, got True"),
             ({}, "origin has no target for polar variable 0"),
+            ([0, 0, 1], r"origin must be a mapping, got \[0, 0, 1\]"),
+            (None, "origin must be a mapping, got None"),
         ],
-        ids=["negative", "too-large", "bool", "missing"],
+        ids=["negative", "too-large", "bool", "missing", "list", "none"],
     )
     def test_depolarize_rejects_bad_origin(self, origin, message):
         polar = MonomialIdeal(VariableContext.of_dimension(1), [(3,)])
