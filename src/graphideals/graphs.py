@@ -127,9 +127,12 @@ class WeightedGraph(FrozenRecord):
     def vertex_count(self) -> int:
         return len(self.vertex_names)
 
-    @property
+    @cached_property
     def context(self) -> VariableContext:
-        """Polynomial variables X1..Xd, one per vertex in listed order."""
+        """Polynomial variables X1..Xd, one per vertex in listed order.
+
+        The one shared context of dimension d, looked up once per graph.
+        """
         return _context_of_dimension(self.vertex_count)
 
     @cached_property
@@ -380,48 +383,59 @@ def _maximal_independent_sets(closed: list[int]) -> Iterator[int]:
     ``closed[i]`` is node i's closed neighbourhood.  Bron-Kerbosch with
     Tomita's pivot, run on an explicit stack of frames (chosen,
     candidates, excluded); total time O(3^(N/3)) on N nodes (Tomita,
-    Tanaka & Takahashi, TCS 363, 2006).  A candidate with no other
-    candidate neighbour is in every maximal extension, so all such
-    candidates are chosen in one step.  The pivot is the first node of
-    candidates | excluded with the fewest candidate neighbours; an
-    excluded node with none left to block it has nothing to branch on,
-    so as the pivot it cuts the frame.
+    Tanaka & Takahashi, TCS 363, 2006).  Each frame makes one sweep over
+    its candidates, taking each one's candidate neighbours once.  A
+    candidate with none but itself is in every maximal extension, so it
+    is chosen outright, and its excluded neighbours leave.  Every other
+    candidate bids for the pivot with its count of candidate neighbours;
+    the lone ones are nobody's neighbours, so their leaving changes no
+    count.  The excluded nodes bid only after every candidate, so a tie
+    goes to the first candidate, else to the first excluded node.  An
+    excluded node with no candidate neighbour cuts the frame, since no
+    extension can block it.  The pivot's candidate neighbours are the
+    branches.
     """
     nodes = len(closed)
     stack = [(0, (1 << nodes) - 1, 0)]
     while stack:
         chosen, cand, done = stack.pop()
-        lone = 0
+        fewest = nodes + 1
         m = cand
         while m:
             low = m & -m
-            near = closed[low.bit_length() - 1]
-            if cand & near == low:
-                lone |= low
-                done &= ~near
+            around = closed[low.bit_length() - 1]
+            near = cand & around
+            if near == low:
+                chosen |= low
+                cand ^= low
+                done &= ~around
+            else:
+                count = near.bit_count()
+                if count < fewest:
+                    branch, fewest = near, count
             m ^= low
-        chosen |= lone
-        cand ^= lone
-        if not cand | done:
-            yield chosen
+        if not cand:
+            if not done:
+                yield chosen
             continue
-        m = cand | done
-        fewest = nodes + 1
+        m = done
         while m:
             low = m & -m
-            u = low.bit_length() - 1
-            count = (cand & closed[u]).bit_count()
+            near = cand & closed[low.bit_length() - 1]
+            if not near:
+                break
+            count = near.bit_count()
             if count < fewest:
-                pivot, fewest = u, count
+                branch, fewest = near, count
             m ^= low
-        m = cand & closed[pivot]
-        while m:
-            low = m & -m
-            keep = ~closed[low.bit_length() - 1]
-            stack.append((chosen | low, cand & keep, done & keep))
-            cand ^= low
-            done |= low
-            m ^= low
+        else:  # no excluded node cut the frame
+            while branch:
+                low = branch & -branch
+                keep = ~closed[low.bit_length() - 1]
+                stack.append((chosen | low, cand & keep, done & keep))
+                cand ^= low
+                done |= low
+                branch ^= low
 
 
 def _maximal_thresholds(adjacency, max_components: int) -> list[tuple]:

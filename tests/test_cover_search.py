@@ -9,7 +9,8 @@ every edge and lose that property when any vertex is dropped.  Both scan
 the edge list directly, so they share nothing with the search or the
 graph's adjacency table.  The maximal-independent-set enumerator is also
 checked on its own against networkx's clique enumeration on the
-complement, the level graph against its definition, and the decode of
+complement, of random graphs and of level graphs, the level graph
+against its definition, and the decode of
 each maximal independent set into cover thresholds against its
 definition.
 """
@@ -26,6 +27,7 @@ from graphideals.decompose import DecompositionLimitError, IrreducibleComponent
 from graphideals.graphs import (
     Edge,
     WeightedGraph,
+    _context_of_dimension,
     _level_graph,
     _maximal_independent_sets,
     _maximal_thresholds,
@@ -219,6 +221,21 @@ class TestLevelGraph:
             assert level_edges(closed) == {(index[e.u], index[e.v]) for e in g.edges}
 
 
+def found_sets(closed):
+    """The sets the search yields, each as a sorted tuple of nodes."""
+    return sorted(
+        tuple(j for j in range(len(closed)) if mask >> j & 1)
+        for mask in _maximal_independent_sets(closed)
+    )
+
+
+def complement_cliques(h):
+    """Maximal independent sets of h, as networkx finds them."""
+    return sorted(
+        tuple(sorted(c)) for c in networkx.find_cliques(networkx.complement(h))
+    )
+
+
 class TestMaximalIndependentSets:
     def test_against_networkx(self):
         rng = random.Random(8)
@@ -230,7 +247,7 @@ class TestMaximalIndependentSets:
         for _ in range(60):
             n, p = rng.randint(10, 18), rng.choice((0.7, 0.9))
             graphs.append(networkx.gnp_random_graph(n, p, rng.randrange(10**6)))
-        # isolated nodes, which the lone-candidate pass chooses outright
+        # isolated nodes, which a frame's sweep chooses outright
         for _ in range(60):
             n, p = rng.randint(2, 16), rng.choice((0.3, 0.7, 0.9))
             h = networkx.gnp_random_graph(n, p, rng.randrange(10**6))
@@ -244,15 +261,29 @@ class TestMaximalIndependentSets:
             closed = [
                 1 << i | sum(1 << j for j in h[i]) for i in range(h.number_of_nodes())
             ]
-            found = sorted(
-                tuple(j for j in range(len(closed)) if mask >> j & 1)
-                for mask in _maximal_independent_sets(closed)
+            assert found_sets(closed) == complement_cliques(h), sorted(h.edges)
+
+    def test_level_graphs_against_networkx(self):
+        # a level graph nests the neighbourhoods along each vertex's levels,
+        # a shape the random graphs above rarely have
+        graphs = list(exhaustive_weighted_graphs(4, (1, 2, 3)))
+        graphs += seeded_gnp(300, seed=10, max_vertices=8, max_weight=4)
+        edgeless = 0
+        for g in graphs:
+            closed = _level_graph(g.adjacency)[0]
+            if not closed:
+                edgeless += 1
+                assert found_sets(closed) == [()], g
+                continue
+            h = networkx.empty_graph(len(closed))
+            h.add_edges_from(
+                (i, j)
+                for i, mask in enumerate(closed)
+                for j in range(i)
+                if mask >> j & 1
             )
-            expected = sorted(
-                tuple(sorted(c))
-                for c in networkx.find_cliques(networkx.complement(h))
-            )
-            assert found == expected, sorted(h.edges)
+            assert found_sets(closed) == complement_cliques(h), g
+        assert edgeless
 
 
 def definitional_decode(graph, mask):
@@ -366,6 +397,10 @@ class TestAdjacency:
         a.degree(0)
         assert a == b and hash(a) == hash(b)
         assert "adjacency" in vars(a) and "adjacency" not in vars(b)
+        assert a.context is _context_of_dimension(3)
+        assert a == b and hash(a) == hash(b)
+        assert "context" in vars(a) and "context" not in vars(b)
+        assert b.context is a.context
 
     def test_classify_whiskered_path_linear(self):
         n = 2000
