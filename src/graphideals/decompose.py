@@ -49,8 +49,10 @@ class IrreducibleComponent(FrozenRecord):
 
     A value is checked once, where it enters: this constructor checks and
     sorts pairs from outside the library and verify's candidate covers.
-    Every component the library builds (both routes, ``minimize_cover``,
-    the CLI's ``--cover``) goes through :meth:`_of_powers`.
+    Every component the library builds (the covers route,
+    ``minimize_cover``, the CLI's ``--cover``) goes through
+    :meth:`_of_powers`, and the split route's decode
+    (:meth:`_PowersCodec.decode`) makes the same two field stores.
     """
 
     _fields = ("context", "powers")
@@ -265,17 +267,26 @@ def split_decompose(
     The children J_a1, ..., J_top form a chain, each the one below plus
     one level's m_k.  No row of the one below divides such an m_k (it
     would divide x_c^a_k * m_k), so adjoining the m_k drops their
-    multiples (only a row whose support meets theirs can be one) and
-    inserts them, and the peel needs the supports of the rows left: one
-    pass of :func:`child` builds each child from the one below.  Each
-    monomial's degree and support are computed once, when it
-    enters: as an input row, or as a cofactor m_k; the peel and the nodes
-    read the supports from that table.  The recursion runs on an explicit
-    stack, so its depth is not bounded by Python's recursion limit.  The
-    top node's list is irredundant, so sorting its packed ints descending
-    puts it in canonical order (the argument is in :class:`_PowersCodec`);
-    then each component is decoded once, whole chunks of fields through
-    the codec's table, and no tuple keys are compared.  Past
+    multiples and inserts them, and the peel needs the supports of the
+    rows left: one pass of :func:`child` builds each child from the one
+    below.  A pure m_k = x_i^e divides a row exactly when the row's
+    field i is at least e, so the pure m_k are indexed by variable and
+    a row tests only those on its own support; the mixed m_k are tested
+    by guarded subtraction, and only against rows whose support meets
+    theirs.  Every cofactor of an edge ideal is pure, so a hub split of
+    K_{2,n} costs O(1) tests per row and level, not O(n).  Each
+    monomial's degree and support are computed once, when it enters: as
+    an input row, or as a cofactor m_k; the peel and the nodes read the
+    supports from that table.  A child is decided where it is built
+    when it is a star, and memoized at once; only the other children
+    are pushed as frames, with the support masks already read, and only
+    they look for an independence split.  The recursion runs on that
+    explicit stack, so its depth is not bounded by Python's recursion
+    limit.  The top node's list is irredundant, so sorting its packed
+    ints descending puts it in canonical order (the argument is in
+    :class:`_PowersCodec`); then one pass of :meth:`_PowersCodec.decode`
+    reads each component, whole chunks of fields through the codec's
+    table, and builds it, and no tuple keys are compared.  Past
     ``max_components`` components at any star, variable split or product
     node, including while a split's levels or a product are being
     combined, raises DecompositionLimitError.  The zero ideal decomposes
@@ -296,35 +307,47 @@ def split_decompose(
         # mixed and of the pure rows for the peel: a pure power on a
         # variable no mixed row raises is a factor of every component,
         # field k of the offset top - e_k on its support.  The rows before
-        # the peel are the next child's base
-        mixed = pure = 0
+        # the peel are the next child's base.  A row of new can divide a
+        # row only when its support lies inside the row's, so the pure
+        # rows of new are indexed by their one support bit: a row tests
+        # only the pure rows on its own support, and all of new only if
+        # its support meets a mixed row's
+        pures, pure_reach, mixed_reach = {}, 0, 0
         for m in new:
             s = support[m]
+            if s & (s - 1):
+                mixed_reach |= s
+            else:
+                pure_reach |= s
+                pures[s] = m
+        mixed, pure, reach = mixed_reach, pure_reach, mixed_reach | pure_reach
+        kept = []
+        for r in rows:
+            s = support[r]
+            if s & reach:
+                rg = r | guards
+                hits = s & pure_reach
+                while hits:
+                    b = hits & -hits
+                    if (rg - pures[b]) & guards == guards:
+                        break
+                    hits ^= b
+                if hits:
+                    continue
+                if s & mixed_reach and any((rg - m) & guards == guards for m in new):
+                    continue
+            kept.append(r)
             if s & (s - 1):
                 mixed |= s
             else:
                 pure |= s
-        # a row whose support misses every new support has no divisor there
-        reach = mixed | pure
-        kept = []
-        for r in rows:
-            s, rg = support[r], r | guards
-            for m in new if s & reach else ():
-                if (rg - m) & guards == guards:
-                    break
-            else:
-                kept.append(r)
-                if s & (s - 1):
-                    mixed |= s
-                else:
-                    pure |= s
         if new:
             kept += new
             kept.sort()
         lone = pure & ~mixed
         if not lone:
             return kept, tuple(kept), 0
-        rest = tuple(r for r in kept if support[r] & mixed)
+        rest = tuple([r for r in kept if support[r] & mixed])
         return kept, rest, codec.top * lone - ((sum(kept) - sum(rest)) & fields)
 
     def star(rows, masks):
@@ -422,41 +445,54 @@ def split_decompose(
             f"decomposition exceeded {max_components} components"
         )
 
+    memo: dict[tuple, tuple] = {(): (0,)}
+    # a frame is (rows, masks, None) until expanded, then (rows, children,
+    # split): a product's children are rows, a variable split's are level
+    # triples, bottom level first; every child pushed above a frame is
+    # done by the time the frame is back on top.  Peeled rows hold a
+    # mixed row unless they are empty.
+    stack = []
+
+    def enter(rows):
+        # a node not in the memo: a star is decided, and memoized, where
+        # it is built; any other node is pushed with its masks
+        masks = list(map(support.__getitem__, rows))
+        comps = star(rows, masks)
+        if comps is None:
+            stack.append((rows, masks, None))
+        elif len(comps) > max_components:
+            raise over_cap()
+        else:
+            memo[rows] = comps
+
     # adjoining every row to none drops none of them: a peel
     _, top_rows, offset = child((), top_rows)
-    memo: dict[tuple, tuple] = {(): (0,)}
-    # a frame is (rows, None, None) until expanded, then (rows, children,
-    # split): a product's children are rows, a variable split's are
-    # level triples, bottom level first; every child pushed above a frame
-    # is done by the time the frame is back on top.  Peeled rows hold a
-    # mixed row unless they are empty.
-    stack = [(top_rows, None, None)]
+    if top_rows not in memo:
+        enter(top_rows)
     while stack:
         rows, children, split = stack[-1]
-        if rows in memo:
-            stack.pop()
-            continue
-        if children is None:
-            masks = [support[r] for r in rows]
-            comps = star(rows, masks)
-            if comps is not None:
-                if len(comps) > max_components:
-                    raise over_cap()
-                memo[rows] = comps
+        if split is None:
+            if rows in memo:
+                # a child pushed twice, done by its other frame
                 stack.pop()
                 continue
             # a pure power left here shares its variable with a mixed row
+            masks = children
             parts = _independent_parts(masks)
             if len(parts) > 1:
                 children = [
                     tuple(r for r, m in zip(rows, masks) if m & part) for part in parts
                 ]
                 stack[-1] = (rows, children, False)
-                stack.extend((c, None, None) for c in children if c not in memo)
+                for c in children:
+                    if c not in memo:
+                        enter(c)
             else:
                 children = levels(rows, masks)
                 stack[-1] = (rows, children, True)
-                stack.extend((c, None, None) for c, _, _ in children if c not in memo)
+                for c, _, _ in children:
+                    if c not in memo:
+                        enter(c)
             continue
         if split:
             # top level down: x_c^a + P stays unless P is a component of
@@ -466,7 +502,7 @@ def split_decompose(
                 sub = memo[c]
                 lift += peel
                 if above is None:
-                    comps += [p + lift for p in sub]
+                    comps += map(lift.__add__, sub)
                 else:
                     above, delta = set(above), peel - above_peel
                     comps += [p + lift for p in sub if p + delta not in above]
@@ -481,17 +517,13 @@ def split_decompose(
                 if len(comps) * len(sub) > max_components:
                     raise over_cap()
                 # disjoint variables: adding packed fields merges them
-                comps = tuple(a + b for a in comps for b in sub)
+                comps = tuple([a + b for a in comps for b in sub])
         memo[rows] = comps
         stack.pop()
 
     # the list is irredundant, so descending packed order is canonical
     # order (see _PowersCodec); adding the peeled offset keeps the order
-    of_powers, unpack = IrreducibleComponent._of_powers, codec.unpack
-    components = tuple(
-        of_powers(context, unpack(p + offset))
-        for p in sorted(memo[top_rows], reverse=True)
-    )
+    components = codec.decode(context, sorted(memo[top_rows], reverse=True), offset)
     return Decomposition._of_sorted(context, components)
 
 
@@ -500,21 +532,22 @@ def _pack_masked(dimension, masked_rows):
     packed with its degree above the fields, to its packed support (the
     lowest bit of each nonzero field), in row order.
 
-    Only the exponents at each mask's set bits are read, once for the
-    largest exponent, which sizes the fields, and once to pack: O(support)
-    per row, whatever the dimension.
+    Only the exponents at each mask's set bits are read, in one pass that
+    also finds the largest exponent, which sizes the fields; the packing
+    reuses the pairs it read: O(support) per row, whatever the dimension.
     """
-    sparse = []
+    sparse, top = [], 0
     for mask, row in masked_rows:
         powers = []
         while mask:
             i = mask.bit_length() - 1
             mask ^= 1 << i
-            powers.append((i, row[i]))
+            e = row[i]
+            if e > top:
+                top = e
+            powers.append((i, e))
         sparse.append(powers)
-    codec = _PowersCodec(
-        dimension, max((e for powers in sparse for _, e in powers), default=0)
-    )
+    codec = _PowersCodec(dimension, top)
     shifts, degree_shift = codec.shifts, codec.fields_bits
     packed = {}
     for powers in sparse:
@@ -566,47 +599,69 @@ class _PowersCodec:
     compare.  The orders part only when one component's pairs are a
     prefix of the other's, and then the longer one contains the shorter.
 
-    ``unpack`` reads a component in chunks of whole fields, about 24 bits
-    each (one field when a field is wider), from variable 0's down.  A
-    chunk's pairs come from a table kept per codec, filled on a miss, so
-    the components of one decomposition, which share most of their
+    The shifts run down from variable 0's field by one width each, and
+    the guards, one bit above each field, are the closed form
+    ``(2^(d*w) - 1) / (2^w - 1)`` (a 1 at the bottom of every field)
+    shifted up by the field's bits, so setting a codec up costs O(1)
+    whatever the dimension d.
+
+    :meth:`decode` reads components in chunks of whole fields, about 24
+    bits each (one field when a field is wider), from variable 0's down.
+    A chunk's pairs come from a table kept per codec, filled on a miss,
+    so the components of one decomposition, which share most of their
     chunks, decode each distinct chunk once.
     """
 
     def __init__(self, dimension, max_exponent):
         self.top = max_exponent + 1
         self.bits = self.top.bit_length()
-        self.width = self.bits + 1
+        width = self.width = self.bits + 1
         self.field = (1 << self.bits) - 1
-        self.shifts = tuple((dimension - 1 - k) * self.width for k in range(dimension))
-        self.fields_bits = dimension * self.width
-        self.guards = sum(1 << s for s in self.shifts) << self.bits
-        step = self.chunk_bits = max(1, 24 // self.width) * self.width
+        self.fields_bits = dimension * width
+        self.shifts = range(self.fields_bits - width, -1, -width)
+        self.guards = ((1 << self.fields_bits) - 1) // ((1 << width) - 1) << self.bits
+        step = self.chunk_bits = max(1, 24 // width) * width
         # chunks start at bit 0, so the one holding variable 0 may be short
         self.top_chunk = ((1 << step) - 1) << (self.fields_bits - 1) // step * step
         self.chunks = {}
 
-    def unpack(self, packed) -> tuple[tuple[int, int], ...]:
-        chunks, step, mask, powers = self.chunks, self.chunk_bits, self.top_chunk, ()
+    def decode(self, context, packed, offset) -> tuple[IrreducibleComponent, ...]:
+        """The components on ``context`` of the packed ints of ``packed``,
+        each plus ``offset``, in the same order.
+
+        One pass: each int is read chunk by chunk through the table, and
+        its component is built in place, as ``_of_powers`` builds one.
+        """
+        chunks, step, mask, masks = self.chunks, self.chunk_bits, self.top_chunk, []
         while mask:
-            chunk = packed & mask
+            masks.append(mask)
             mask >>= step
-            if chunk:
-                pairs = chunks.get(chunk)
-                if pairs is None:
-                    # a miss: read the chunk's highest nonzero field k
-                    # from the bottom, variable last - k, and clear it
-                    top, width, rest = self.top, self.width, chunk
-                    last = len(self.shifts) - 1
-                    pairs = []
-                    while rest:
-                        k = (rest.bit_length() - 1) // width
-                        f = rest >> k * width
-                        rest -= f << k * width
-                        pairs.append((last - k, top - f))
-                    pairs = chunks[chunk] = tuple(pairs)
-                powers += pairs
-        return powers
+        top, width, last = self.top, self.width, len(self.shifts) - 1
+        new, store, cls = object.__new__, object.__setattr__, IrreducibleComponent
+        components = []
+        for p in packed:
+            p += offset
+            powers = ()
+            for mask in masks:
+                chunk = p & mask
+                if chunk:
+                    pairs = chunks.get(chunk)
+                    if pairs is None:
+                        # a miss: read the chunk's highest nonzero field k
+                        # from the bottom, variable last - k, and clear it
+                        pairs, rest = [], chunk
+                        while rest:
+                            k = (rest.bit_length() - 1) // width
+                            f = rest >> k * width
+                            rest -= f << k * width
+                            pairs.append((last - k, top - f))
+                        pairs = chunks[chunk] = tuple(pairs)
+                    powers += pairs
+            component = new(cls)
+            store(component, "context", context)
+            store(component, "powers", powers)
+            components.append(component)
+        return tuple(components)
 
 
 def is_m_unmixed_ideal(ideal: MonomialIdeal) -> bool:

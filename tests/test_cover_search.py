@@ -12,7 +12,8 @@ checked on its own against networkx's clique enumeration on the
 complement, of random graphs and of level graphs, the level graph
 against its definition, and the decode of
 each maximal independent set into cover thresholds against its
-definition.
+definition.  The enumerator's work is pinned as well, by counting its
+reads of the neighbourhood list over a fixed series of graphs.
 """
 
 import itertools
@@ -263,6 +264,20 @@ class TestMaximalIndependentSets:
             ]
             assert found_sets(closed) == complement_cliques(h), sorted(h.edges)
 
+    def test_pruning_rules_pinned_by_reads(self):
+        # the lone-candidate rule and the dead-frame cut change no output,
+        # so only the work shows them.  Reads of closed pin it: without the
+        # cut the total reads 16160, without the lone-candidate rule 21185.
+        # The cut saves reads, not frames: an excluded node with no
+        # candidate neighbour already wins the pivot with no branches
+        total = found = 0
+        for g in scaling_shapes():
+            closed = CountedReads(_level_graph(g.adjacency)[0])
+            found += sum(1 for _ in _maximal_independent_sets(closed))
+            total += closed.reads
+        assert found == 1762
+        assert total == 16154
+
     def test_level_graphs_against_networkx(self):
         # a level graph nests the neighbourhoods along each vertex's levels,
         # a shape the random graphs above rarely have
@@ -284,6 +299,39 @@ class TestMaximalIndependentSets:
             )
             assert found_sets(closed) == complement_cliques(h), g
         assert edgeless
+
+
+class CountedReads(list):
+    """A list of closed neighbourhoods that counts its item reads."""
+
+    reads = 0
+
+    def __getitem__(self, i):
+        self.reads += 1
+        return super().__getitem__(i)
+
+
+def scaling_shapes():
+    """Cycles C10-C16, complete graphs K6-K8, two G(n, 1/2) for each n =
+    8..10 and stars with 8, 10 and 12 leaves, weights 1..3 drawn in that
+    order from a fresh Random(12050)."""
+    rng = random.Random(12050)
+    shapes = [(n, [(i, (i + 1) % n) for i in range(n)]) for n in range(10, 17)]
+    shapes += [(n, itertools.combinations(range(n), 2)) for n in range(6, 9)]
+    graphs = [
+        (n, [Edge(u, v, rng.randint(1, 3)) for u, v in pairs]) for n, pairs in shapes
+    ]
+    for n in (8, 8, 9, 9, 10, 10):
+        pairs = itertools.combinations(range(n), 2)
+        graphs.append(
+            (n, [Edge(u, v, rng.randint(1, 3)) for u, v in pairs if rng.random() < 0.5])
+        )
+    for k in (8, 10, 12):
+        graphs.append((k + 1, [Edge(0, i, rng.randint(1, 3)) for i in range(1, k + 1)]))
+    return [
+        WeightedGraph(tuple(f"v{i + 1}" for i in range(n)), tuple(edges))
+        for n, edges in graphs
+    ]
 
 
 def definitional_decode(graph, mask):

@@ -702,6 +702,20 @@ class TestRouteAgreement:
         assert len(D) == 4
         assert D.components == cover_decomposition(g).components
 
+    def test_complete_bipartite_three_hubs(self, splits):
+        # K_{3,n}: a split at one hub leaves a K_{2,m} child at each of
+        # the levels 1, 2, 3, and a split at a second hub in each leaves
+        # stars.  Level a drops the leaves of weight below a (134 of
+        # weight 1, 133 of weight 2), and the level inf is peeled to the
+        # zero ideal
+        n = 400
+        edges = [Edge(h, 3 + k, 1 + k % 3) for k in range(n) for h in (0, 1, 2)]
+        g = weighted_graph(n + 3, edges)
+        D = split_decompose(weighted_edge_ideal(g))
+        assert sorted(map(len, splits)) == [2 * 133, 2 * 266, 2 * n, 3 * n]
+        assert len(D) == 4
+        assert D.components == cover_decomposition(g).components
+
     def test_split_deeper_than_the_recursion_limit(self):
         # (x, y)^n: one variable split on x with n levels, each child a
         # pure power of y, peeled to the zero ideal

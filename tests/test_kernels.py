@@ -9,7 +9,12 @@ import random
 import pytest
 
 from graphideals import kernels
-from graphideals.decompose import _pack_masked, _PowersCodec, split_decompose
+from graphideals.decompose import (
+    IrreducibleComponent,
+    _pack_masked,
+    _PowersCodec,
+    split_decompose,
+)
 from graphideals.graphs import cover_decomposition, weighted_edge_ideal
 from graphideals.monomials import (
     Monomial,
@@ -376,6 +381,19 @@ class TestPackedRows:
             pa, pb = dense_pack(codec, a), dense_pack(codec, b)
             assert (((pb | guards) - pa) & guards == guards) == kernels.divides(a, b)
 
+    @pytest.mark.parametrize("max_exp", [1, 3, 7, 8, 10**20])
+    def test_layout_closed_form_matches_fields(self, max_exp):
+        # the codec sets its shifts up as a range and its guards in closed
+        # form: each equals its definition field by field, over every
+        # dimension from 1 to 40
+        for dim in range(1, 41):
+            codec = _PowersCodec(dim, max_exp)
+            shifts = tuple((dim - 1 - k) * codec.width for k in range(dim))
+            assert tuple(codec.shifts) == shifts
+            assert len(codec.shifts) == dim
+            assert codec.guards == sum(1 << (s + codec.bits) for s in shifts)
+            assert codec.fields_bits == dim * codec.width
+
     def test_sparse_pack_matches_dense_definition(self):
         # seeded antichains with many zero exponents, over dimensions 1-40
         # and exponents up to 10**20: packing from the support masks gives
@@ -448,7 +466,7 @@ class TestPackedRows:
 
 def bit_loop_unpack(codec, packed):
     """The split route's former decoder, one support bit at a time: the
-    oracle of the chunked ``_PowersCodec.unpack``."""
+    oracle of the chunked ``_PowersCodec.decode``."""
     index = {s: k for k, s in enumerate(codec.shifts)}
     mask = sum(1 << s for s in codec.shifts if (packed >> s) & codec.field)
     powers = []
@@ -457,6 +475,18 @@ def bit_loop_unpack(codec, packed):
         mask ^= 1 << at
         powers.append((index[at], codec.top - ((packed >> at) & codec.field)))
     return tuple(powers)
+
+
+def decoded(codec, packed, offset=0):
+    """The powers of the components ``_PowersCodec.decode`` builds from the
+    packed ints, each checked against the validating constructor."""
+    context = VariableContext.of_dimension(len(codec.shifts))
+    components = codec.decode(context, packed, offset)
+    assert type(components) is tuple
+    for c in components:
+        assert type(c) is IrreducibleComponent and c.context is context
+        assert c == IrreducibleComponent(context, c.powers)
+    return [c.powers for c in components]
 
 
 def pack(codec, powers):
@@ -536,11 +566,12 @@ class TestCrossPrune:
     def test_round_trip(self):
         codec = _PowersCodec(4, 10**20)
         for powers in [(), ((0, 1),), ((1, 10**20), (3, 7))]:
-            assert codec.unpack(pack(codec, powers)) == powers
+            assert decoded(codec, [pack(codec, powers)]) == [powers]
         assert pack(codec, ()) == 0
-        # unpack reads only the support's fields: seeded components of
+        # decode reads only the support's fields: seeded components of
         # every width, with the first and last variable forced in half of
-        # them, and the largest exponent M - 1 whose field holds 1
+        # them, and the largest exponent M - 1 whose field holds 1; the
+        # offset is added to each int before it is read
         rng = random.Random(20261019)
         for trial in range(300):
             dim = rng.randint(1, 9)
@@ -552,11 +583,13 @@ class TestCrossPrune:
                     powers.setdefault(i, rng.choice((1, max_exp)))
             powers = tuple(sorted(powers.items()))
             packed = pack(codec, powers)
-            assert codec.unpack(packed) == powers
-            assert codec.unpack(0) == ()
+            assert decoded(codec, [packed, 0]) == [powers, ()]
+            offset = packed & rng.getrandbits(packed.bit_length())
+            assert decoded(codec, [packed - offset], offset) == [powers]
         codec = _PowersCodec(40, 10**20)
         ends = ((0, 10**20), (39, 1))
-        assert codec.unpack(pack(codec, ends)) == ends
+        assert decoded(codec, [pack(codec, ends)]) == [ends]
+        assert decoded(codec, []) == []
 
     @pytest.mark.parametrize("dim", [1, 4, 5, 9, 17, 40])
     @pytest.mark.parametrize("max_exp", [1, 3, 7, 8, 10**20])
@@ -573,8 +606,8 @@ class TestCrossPrune:
             rng.shuffle(packed)
             expected = [bit_loop_unpack(codec, p) for p in packed]
             for _ in range(2):
-                assert [codec.unpack(p) for p in packed] == expected
-            assert codec.unpack(0) == ()
+                assert decoded(codec, packed) == expected
+            assert decoded(codec, [0]) == [()]
 
     def test_component_on_both_sides_kept_once(self):
         # (X1*X2, X2*X3) split on X1: J_1 = (X2*X3) and J_inf = (X2)
